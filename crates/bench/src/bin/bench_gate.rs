@@ -22,43 +22,8 @@
 
 use std::process::ExitCode;
 
-use serde::{Content, Deserialize, Deserializer};
-
-/// A parsed JSON document. The vendored `serde_json` has no `Value`
-/// type, but every vendored deserializer speaks the [`Content`] tree —
-/// this newtype just captures it whole.
-struct Doc(Content);
-
-impl<'de> Deserialize<'de> for Doc {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Ok(Doc(deserializer.content()?))
-    }
-}
-
-impl Doc {
-    fn field(&self, key: &str) -> Option<&Content> {
-        match &self.0 {
-            Content::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn f64_field(&self, key: &str) -> Option<f64> {
-        match self.field(key)? {
-            Content::F64(v) => Some(*v),
-            Content::U64(v) => Some(*v as f64),
-            Content::I64(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    fn bool_field(&self, key: &str) -> Option<bool> {
-        match self.field(key)? {
-            Content::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
+use maleva_wire::Json;
+use serde::Content;
 
 /// Whether a bigger metric value is better or worse.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -216,15 +181,28 @@ fn regressed(
     }
 }
 
-fn load_json(dir: &str, file: &str) -> Result<Doc, String> {
+fn load_json(dir: &str, file: &str) -> Result<Content, String> {
     let path = format!("{}/{}", dir.trim_end_matches('/'), file);
     let raw = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    serde_json::from_str(&raw).map_err(|e| format!("cannot parse {path}: {e}"))
+    serde_json::from_str::<Json>(&raw)
+        .map(Json::into_content)
+        .map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn get_f64(doc: &Doc, file: &str, key: &str) -> Result<f64, String> {
-    doc.f64_field(key)
-        .ok_or_else(|| format!("{file} has no numeric field `{key}`"))
+fn field<'a>(doc: &'a Content, key: &str) -> Option<&'a Content> {
+    match doc {
+        Content::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+fn get_f64(doc: &Content, file: &str, key: &str) -> Result<f64, String> {
+    match field(doc, key) {
+        Some(Content::F64(v)) => Ok(*v),
+        Some(Content::U64(v)) => Ok(*v as f64),
+        Some(Content::I64(v)) => Ok(*v as f64),
+        _ => Err(format!("{file} has no numeric field `{key}`")),
+    }
 }
 
 struct Args {
@@ -289,9 +267,9 @@ fn main() -> ExitCode {
 
     // Correctness flags: unconditional.
     for &(file, key) in CORRECTNESS_FLAGS.iter().filter(|(f, _)| selected(f)) {
-        match load_json(&args.in_dir, file).and_then(|doc| {
-            doc.bool_field(key)
-                .ok_or_else(|| format!("{file} has no boolean field `{key}`"))
+        match load_json(&args.in_dir, file).and_then(|doc| match field(&doc, key) {
+            Some(Content::Bool(v)) => Ok(*v),
+            _ => Err(format!("{file} has no boolean field `{key}`")),
         }) {
             Ok(true) => println!("OK    {file:<18} {key} = true"),
             Ok(false) => {

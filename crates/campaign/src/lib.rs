@@ -40,7 +40,7 @@ pub use oracle::{Blocked, LiveOracle};
 
 use std::time::Duration;
 
-use maleva_client::{BackoffPolicy, ClientConfig, ScoreClient, SentinelInfo, StatsInfo};
+use maleva_client::{BackoffPolicy, ClientConfig, MetricsSnapshot, ScoreClient, SentinelReport};
 use maleva_core::blackbox::{self, BlackboxConfig, BlackboxSummary};
 use maleva_core::ExperimentContext;
 use maleva_nn::NnError;
@@ -166,9 +166,9 @@ pub struct CampaignReport {
     /// Benign-traffic outcome.
     pub benign: BenignSummary,
     /// The server's sentinel report at campaign end.
-    pub sentinel: SentinelInfo,
-    /// The server's metrics snapshot at campaign end.
-    pub server_stats: StatsInfo,
+    pub sentinel: SentinelReport,
+    /// The server's merged metrics snapshot at campaign end.
+    pub server_stats: MetricsSnapshot,
 }
 
 fn client_refused(what: &str, err: maleva_client::ClientError) -> NnError {
@@ -350,24 +350,22 @@ mod tests {
                 throttled: 0,
                 other_errors: 0,
             }]),
-            sentinel: SentinelInfo {
+            sentinel: SentinelReport {
                 enabled: true,
                 action: "throttle".to_string(),
                 tracked_clients: 2,
                 flagged_clients: 1,
                 clients: Vec::new(),
             },
-            server_stats: StatsInfo {
+            server_stats: MetricsSnapshot {
                 requests: 100,
                 errors: 5,
-                overloaded: 0,
-                deadline_exceeded: 0,
                 cache_hits: 3,
                 cache_misses: 97,
                 sentinel_throttled: 5,
-                sentinel_poisoned: 0,
                 sentinel_flagged: 1,
                 p99_latency_us: 900,
+                ..MetricsSnapshot::default()
             },
         };
         let json = serde_json::to_string(&report).expect("report serializes");

@@ -17,12 +17,16 @@ use std::time::{Duration, Instant};
 
 use maleva_obs::metrics::{Counter, Registry};
 use maleva_obs::trace::{self, Span};
-use serde::{Content, Serialize};
+use maleva_wire::{
+    HealthReport, MetricsSnapshot, ReloadAck, ScoreResponse, SentinelReport, SloReport, Stats,
+};
+use serde::Serialize;
 use std::sync::Arc;
 
 use crate::backoff::BackoffPolicy;
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::error::ClientError;
+use crate::info::decode;
 
 /// Client tuning knobs.
 #[derive(Debug, Clone)]
@@ -247,6 +251,9 @@ pub struct ScoreOutcome {
     pub cached: bool,
     /// Server-side batch size that produced the score (0 for hits).
     pub batch_size: u64,
+    /// Generation of the model that produced the score (0 = the
+    /// server's boot model; each successful reload adds one).
+    pub generation: u64,
     /// Attempts this call needed (1 = first try succeeded).
     pub attempts: u32,
 }
@@ -254,31 +261,6 @@ pub struct ScoreOutcome {
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-}
-
-/// Newtype that deserializes into the raw [`Content`] tree (the
-/// vendored `serde_json` has no `Value` type).
-struct JsonValue(Content);
-
-impl<'de> serde::Deserialize<'de> for JsonValue {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        d.content().map(JsonValue)
-    }
-}
-
-enum Parsed {
-    Score {
-        score: f64,
-        verdict: String,
-        cached: bool,
-        batch_size: u64,
-    },
-    ServerError {
-        kind: String,
-        detail: String,
-        retryable: bool,
-        retry_after_ms: Option<u64>,
-    },
 }
 
 /// The resilient scoring client; see the module docs for the retry
@@ -394,41 +376,26 @@ impl ScoreClient {
             attempt_span.record("span_id", span_id);
             attempt_span.record("attempt", attempts as u64);
             let outcome = self.attempt(&line);
-            attempt_span.record("ok", matches!(outcome, Ok(Parsed::Score { .. })));
+            attempt_span.record("ok", outcome.is_ok());
             drop(attempt_span);
             match outcome {
-                Ok(Parsed::Score {
-                    score,
-                    verdict,
-                    cached,
-                    batch_size,
-                }) => {
+                Ok(reply) => {
                     self.breaker.on_success();
                     return Ok(ScoreOutcome {
-                        score,
-                        verdict,
-                        cached,
-                        batch_size,
+                        score: reply.score,
+                        verdict: reply.verdict,
+                        cached: reply.cached,
+                        batch_size: reply.batch_size,
+                        generation: reply.generation,
                         attempts,
                     });
                 }
-                Ok(Parsed::ServerError {
-                    kind,
-                    detail,
-                    retryable,
-                    retry_after_ms,
-                }) => {
+                Err(err @ ClientError::Server { .. }) => {
                     // The server answered: that is breaker success even
                     // though the call failed.
                     self.breaker.on_success();
                     self.metrics.server_errors.inc();
-                    let err = ClientError::Server {
-                        kind,
-                        detail,
-                        retryable,
-                        retry_after_ms,
-                    };
-                    if !retryable {
+                    if !err.is_retryable() {
                         return Err(err);
                     }
                     last_err = err;
@@ -497,9 +464,8 @@ impl ScoreClient {
     /// [`ClientError::Protocol`] on an unparseable body, or
     /// [`ClientError::Server`] (kind `reload_failed`) when the server
     /// rejected the artifact and kept its current model.
-    pub fn reload(&mut self, path: &str) -> Result<crate::info::ReloadInfo, ClientError> {
-        let line = self.roundtrip(&encode_reload_request(path))?;
-        crate::info::parse_reload(&line)
+    pub fn reload(&mut self, path: &str) -> Result<ReloadAck, ClientError> {
+        decode(&self.roundtrip(&encode_reload_request(path))?)
     }
 
     /// Sends `{"cmd":"health"}` and parses the typed report.
@@ -510,19 +476,19 @@ impl ScoreClient {
     /// [`ClientError::Protocol`] on an unparseable body, or
     /// [`ClientError::Server`] if the server answered with a typed
     /// error.
-    pub fn health(&mut self) -> Result<crate::info::HealthInfo, ClientError> {
-        let line = self.command("health")?;
-        crate::info::parse_health(&line)
+    pub fn health(&mut self) -> Result<HealthReport, ClientError> {
+        decode(&self.command("health")?)
     }
 
-    /// Sends `{"cmd":"stats"}` and parses the typed snapshot.
+    /// Sends `{"cmd":"stats"}` and returns the server-wide snapshot
+    /// (the per-shard snapshots are in the full [`Stats`] body, which
+    /// [`crate::info::decode`] reads from a raw `command("stats")`).
     ///
     /// # Errors
     ///
     /// As [`ScoreClient::health`].
-    pub fn stats(&mut self) -> Result<crate::info::StatsInfo, ClientError> {
-        let line = self.command("stats")?;
-        crate::info::parse_stats(&line)
+    pub fn stats(&mut self) -> Result<MetricsSnapshot, ClientError> {
+        Ok(decode::<Stats>(&self.command("stats")?)?.merged)
     }
 
     /// Sends `{"cmd":"sentinel"}` and parses the typed report.
@@ -530,9 +496,8 @@ impl ScoreClient {
     /// # Errors
     ///
     /// As [`ScoreClient::health`].
-    pub fn sentinel(&mut self) -> Result<crate::info::SentinelInfo, ClientError> {
-        let line = self.command("sentinel")?;
-        crate::info::parse_sentinel(&line)
+    pub fn sentinel(&mut self) -> Result<SentinelReport, ClientError> {
+        decode(&self.command("sentinel")?)
     }
 
     /// Sends `{"cmd":"slo"}` and parses the typed burn-rate alarm
@@ -541,9 +506,8 @@ impl ScoreClient {
     /// # Errors
     ///
     /// As [`ScoreClient::health`].
-    pub fn slo(&mut self) -> Result<crate::info::SloInfo, ClientError> {
-        let line = self.command("slo")?;
-        crate::info::parse_slo(&line)
+    pub fn slo(&mut self) -> Result<SloReport, ClientError> {
+        decode(&self.command("slo")?)
     }
 
     /// Sleeps `wait`, unless that would cross the call deadline — then
@@ -561,17 +525,15 @@ impl ScoreClient {
     }
 
     /// One wire attempt: write the request line, read one response
-    /// line, parse it. Any transport or parse failure drops the
-    /// connection (the stream may be desynchronized).
-    fn attempt(&mut self, line: &str) -> Result<Parsed, ClientError> {
-        let resp = self.roundtrip(line)?;
-        match parse_response(&resp) {
-            Ok(parsed) => Ok(parsed),
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
+    /// line, decode it. Any transport or decode failure drops the
+    /// connection (the stream may be desynchronized); a typed server
+    /// error keeps it.
+    fn attempt(&mut self, line: &str) -> Result<ScoreResponse, ClientError> {
+        let reply = decode(&self.roundtrip(line)?);
+        if let Err(ClientError::Protocol { .. }) = reply {
+            self.conn = None;
         }
+        reply
     }
 
     fn roundtrip(&mut self, line: &str) -> Result<String, ClientError> {
@@ -691,64 +653,6 @@ pub fn encode_score_request_traced(encoded: &str, trace_id: u64, span_id: u64) -
     line
 }
 
-fn number(content: &Content) -> Option<f64> {
-    match *content {
-        Content::U64(v) => Some(v as f64),
-        Content::I64(v) => Some(v as f64),
-        Content::F64(v) => Some(v),
-        _ => None,
-    }
-}
-
-fn parse_response(line: &str) -> Result<Parsed, ClientError> {
-    let protocol = |detail: String| ClientError::Protocol { detail };
-    let JsonValue(value) = serde_json::from_str(line)
-        .map_err(|e| protocol(format!("response is not JSON: {e} (line: {line:?})")))?;
-    let Content::Map(entries) = value else {
-        return Err(protocol(format!("response is not an object: {line:?}")));
-    };
-    if let Some((_, body)) = entries.iter().find(|(k, _)| k == "error") {
-        let Content::Map(body) = body else {
-            return Err(protocol("error body is not an object".to_string()));
-        };
-        let field = |name: &str| body.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let kind = match field("kind") {
-            Some(Content::Str(s)) => s.clone(),
-            _ => return Err(protocol("error body lacks a string `kind`".to_string())),
-        };
-        let detail = match field("detail") {
-            Some(Content::Str(s)) => s.clone(),
-            _ => String::new(),
-        };
-        let retryable = matches!(field("retryable"), Some(Content::Bool(true)));
-        let retry_after_ms = field("retry_after_ms").and_then(number).map(|v| v as u64);
-        return Ok(Parsed::ServerError {
-            kind,
-            detail,
-            retryable,
-            retry_after_ms,
-        });
-    }
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let Some(score) = field("score").and_then(number) else {
-        return Err(protocol(format!(
-            "response has neither `score` nor `error`: {line:?}"
-        )));
-    };
-    let verdict = match field("verdict") {
-        Some(Content::Str(s)) => s.clone(),
-        _ => return Err(protocol("score response lacks a `verdict`".to_string())),
-    };
-    let cached = matches!(field("cached"), Some(Content::Bool(true)));
-    let batch_size = field("batch_size").and_then(number).unwrap_or(0.0) as u64;
-    Ok(Parsed::Score {
-        score,
-        verdict,
-        cached,
-        batch_size,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,28 +706,20 @@ mod tests {
     #[test]
     fn parses_score_responses() {
         let line = "{\"score\":0.97,\"verdict\":\"malware\",\"cached\":false,\"batch_size\":12}";
-        match parse_response(line).unwrap() {
-            Parsed::Score {
-                score,
-                verdict,
-                cached,
-                batch_size,
-            } => {
-                assert!((score - 0.97).abs() < 1e-12);
-                assert_eq!(verdict, "malware");
-                assert!(!cached);
-                assert_eq!(batch_size, 12);
-            }
-            Parsed::ServerError { .. } => panic!("parsed as error"),
-        }
+        let reply: ScoreResponse = decode(line).unwrap();
+        assert!((reply.score - 0.97).abs() < 1e-12);
+        assert_eq!(reply.verdict, "malware");
+        assert!(!reply.cached);
+        assert_eq!(reply.batch_size, 12);
+        assert_eq!(reply.generation, 0);
     }
 
     #[test]
     fn parses_error_responses_with_and_without_hint() {
         let line = "{\"error\":{\"kind\":\"overloaded\",\"detail\":\"q\",\
                     \"retryable\":true,\"retry_after_ms\":12}}";
-        match parse_response(line).unwrap() {
-            Parsed::ServerError {
+        match decode::<ScoreResponse>(line).unwrap_err() {
+            ClientError::Server {
                 kind,
                 retryable,
                 retry_after_ms,
@@ -833,12 +729,12 @@ mod tests {
                 assert!(retryable);
                 assert_eq!(retry_after_ms, Some(12));
             }
-            Parsed::Score { .. } => panic!("parsed as score"),
+            other => panic!("not a server error: {other:?}"),
         }
         let line =
             "{\"error\":{\"kind\":\"wrong_dimension\",\"detail\":\"d\",\"retryable\":false}}";
-        match parse_response(line).unwrap() {
-            Parsed::ServerError {
+        match decode::<ScoreResponse>(line).unwrap_err() {
+            ClientError::Server {
                 kind,
                 retryable,
                 retry_after_ms,
@@ -848,7 +744,7 @@ mod tests {
                 assert!(!retryable);
                 assert_eq!(retry_after_ms, None);
             }
-            Parsed::Score { .. } => panic!("parsed as score"),
+            other => panic!("not a server error: {other:?}"),
         }
     }
 
@@ -856,7 +752,10 @@ mod tests {
     fn rejects_garbage_responses() {
         for line in ["", "not json", "[1,2]", "{\"weird\":1}"] {
             assert!(
-                matches!(parse_response(line), Err(ClientError::Protocol { .. })),
+                matches!(
+                    decode::<ScoreResponse>(line),
+                    Err(ClientError::Protocol { .. })
+                ),
                 "{line:?}"
             );
         }

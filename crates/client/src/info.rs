@@ -1,391 +1,57 @@
-//! Typed views of the server's diagnostic commands (`health`, `stats`,
-//! `sentinel`, `slo`), so callers — the campaign harness, the chaos
-//! soak — never have to scrape raw JSON lines.
+//! Typed server replies, decoded into the `maleva-wire` bodies the
+//! server encodes them from — so callers (the campaign harness, the
+//! chaos soak) never scrape raw JSON lines, and the client never keeps
+//! its own copy of a body.
 //!
-//! `maleva-client` deliberately does not depend on `maleva-serve`, so
-//! these structs re-declare the handful of fields callers consume;
-//! unknown fields in the body are ignored, which keeps the client
-//! forward-compatible with server additions.
+//! A required field that is missing or of the wrong type is a
+//! [`ClientError::Protocol`], never a silent `0`, `false` or `""`.
+//! Unknown fields are ignored, which keeps the client working against
+//! a server that adds fields.
 
-use serde::{Content, Serialize};
+use maleva_wire::{Body, DecodeError};
 
 use crate::error::ClientError;
 
-/// Typed body of a `{"cmd":"health"}` response.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct HealthInfo {
-    /// `"ok"` or `"draining"`.
-    pub status: String,
-    /// Whether a drain is in progress.
-    pub draining: bool,
-    /// Jobs waiting in the scoring queue.
-    pub queue_depth: u64,
-    /// Queue depth at which admission control starts shedding.
-    pub shed_depth: u64,
-    /// The per-request deadline, in milliseconds.
-    pub deadline_ms: u64,
-    /// Requests shed or rejected with `overloaded`.
-    pub overloaded: u64,
-    /// Requests answered with `deadline_exceeded`.
-    pub deadline_exceeded: u64,
-    /// Generation of the model currently serving (0 = boot model).
-    pub model_generation: u64,
-}
-
-/// Typed body of a `{"cmd":"reload"}` acknowledgement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct ReloadInfo {
-    /// The model generation now serving.
-    pub generation: u64,
-    /// Parameter count of the installed network.
-    pub params: u64,
-}
-
-/// Typed body of a `{"cmd":"stats"}` response (the subset of the
-/// server's `MetricsSnapshot` that remote callers act on).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct StatsInfo {
-    /// Score requests received.
-    pub requests: u64,
-    /// Typed error responses sent.
-    pub errors: u64,
-    /// Overload rejections.
-    pub overloaded: u64,
-    /// Requests answered with `deadline_exceeded`.
-    pub deadline_exceeded: u64,
-    /// Cache hits.
-    pub cache_hits: u64,
-    /// Cache misses.
-    pub cache_misses: u64,
-    /// Requests refused with `throttled` by the sentinel.
-    pub sentinel_throttled: u64,
-    /// Requests answered with poisoned scores.
-    pub sentinel_poisoned: u64,
-    /// Clients newly flagged by the sentinel.
-    pub sentinel_flagged: u64,
-    /// 99th-percentile request latency, µs.
-    pub p99_latency_us: u64,
-}
-
-/// One per-client row in a `{"cmd":"sentinel"}` response.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SentinelClientInfo {
-    /// The client's identifier.
-    pub client_id: String,
-    /// Total score queries recorded.
-    pub queries: u64,
-    /// Near-duplicate queries observed.
-    pub near_duplicates: u64,
-    /// Decision-boundary verdict flips observed.
-    pub verdict_flips: u64,
-    /// Whether this client is flagged (sticky).
-    pub flagged: bool,
-    /// Query index at which the client was flagged (`0` = never).
-    pub flagged_at_query: u64,
-    /// Queries refused with `throttled`.
-    pub throttled: u64,
-    /// Queries answered with poisoned scores.
-    pub poisoned: u64,
-}
-
-/// Typed body of a `{"cmd":"sentinel"}` response.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SentinelInfo {
-    /// Whether the sentinel is enabled.
-    pub enabled: bool,
-    /// The configured action (`"throttle"` / `"poison"`).
-    pub action: String,
-    /// Clients currently tracked.
-    pub tracked_clients: u64,
-    /// Clients currently flagged.
-    pub flagged_clients: u64,
-    /// Per-client rows, sorted by `client_id`.
-    pub clients: Vec<SentinelClientInfo>,
-}
-
-impl SentinelInfo {
-    /// The row for `client_id`, if tracked.
-    pub fn client(&self, client_id: &str) -> Option<&SentinelClientInfo> {
-        self.clients.iter().find(|c| c.client_id == client_id)
-    }
-}
-
-/// One burn window in a `{"cmd":"slo"}` alarm row.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SloWindowInfo {
-    /// The evaluation window, in milliseconds.
-    pub window_ms: u64,
-    /// The burn rate above which the window counts as breached.
-    pub max_burn_rate: f64,
-    /// The observed burn rate over the window.
-    pub burn_rate: f64,
-    /// Whether the engine has a baseline old enough to cover the window.
-    pub covered: bool,
-    /// Bad events observed in the window.
-    pub bad: u64,
-    /// Total events observed in the window.
-    pub total: u64,
-}
-
-/// One alarm row in a `{"cmd":"slo"}` response.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SloAlarmInfo {
-    /// The SLO's name.
-    pub name: String,
-    /// Whether the alarm is currently firing.
-    pub firing: bool,
-    /// Whether this evaluation flipped the alarm's state.
-    pub changed: bool,
-    /// Per-window burn-rate detail.
-    pub windows: Vec<SloWindowInfo>,
-}
-
-/// Typed body of a `{"cmd":"slo"}` response.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SloInfo {
-    /// Milliseconds since the server started, at evaluation time.
-    pub evaluated_at_ms: u64,
-    /// One row per configured SLO.
-    pub alarms: Vec<SloAlarmInfo>,
-}
-
-impl SloInfo {
-    /// The alarm named `name`, if configured.
-    pub fn alarm(&self, name: &str) -> Option<&SloAlarmInfo> {
-        self.alarms.iter().find(|a| a.name == name)
-    }
-
-    /// Whether any configured alarm is firing.
-    pub fn any_firing(&self) -> bool {
-        self.alarms.iter().any(|a| a.firing)
-    }
-}
-
-struct JsonValue(Content);
-
-impl<'de> serde::Deserialize<'de> for JsonValue {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        d.content().map(JsonValue)
-    }
-}
-
-fn protocol(detail: String) -> ClientError {
-    ClientError::Protocol { detail }
-}
-
-/// Parses the top level of a command response: returns the map under
-/// `key`, or a typed [`ClientError::Server`] if the line carries an
-/// error body instead.
-fn body_under(line: &str, key: &str) -> Result<Vec<(String, Content)>, ClientError> {
-    let JsonValue(value) = serde_json::from_str(line)
-        .map_err(|e| protocol(format!("response is not JSON: {e} (line: {line:?})")))?;
-    let Content::Map(entries) = value else {
-        return Err(protocol(format!("response is not an object: {line:?}")));
-    };
-    if let Some((_, Content::Map(body))) = entries.iter().find(|(k, _)| k == "error") {
-        let field = |name: &str| body.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let kind = match field("kind") {
-            Some(Content::Str(s)) => s.clone(),
-            _ => "unknown".to_string(),
-        };
-        let detail = match field("detail") {
-            Some(Content::Str(s)) => s.clone(),
-            _ => String::new(),
-        };
-        let retryable = matches!(field("retryable"), Some(Content::Bool(true)));
-        return Err(ClientError::Server {
-            kind,
-            detail,
-            retryable,
-            retry_after_ms: None,
-        });
-    }
-    match entries.into_iter().find(|(k, _)| k == key) {
-        Some((_, Content::Map(body))) => Ok(body),
-        Some((_, other)) => Err(protocol(format!(
-            "`{key}` body is not an object: {other:?}"
-        ))),
-        None => Err(protocol(format!("response lacks a `{key}` body: {line:?}"))),
-    }
-}
-
-fn u64_field(body: &[(String, Content)], name: &str) -> u64 {
-    match body.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
-        Some(Content::U64(v)) => *v,
-        Some(Content::I64(v)) => (*v).max(0) as u64,
-        Some(Content::F64(v)) if *v >= 0.0 => *v as u64,
-        _ => 0,
-    }
-}
-
-fn bool_field(body: &[(String, Content)], name: &str) -> bool {
-    matches!(
-        body.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        Some(Content::Bool(true))
-    )
-}
-
-fn f64_field(body: &[(String, Content)], name: &str) -> f64 {
-    match body.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
-        Some(Content::F64(v)) => *v,
-        Some(Content::U64(v)) => *v as f64,
-        Some(Content::I64(v)) => *v as f64,
-        _ => 0.0,
-    }
-}
-
-fn str_field(body: &[(String, Content)], name: &str) -> String {
-    match body.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
-        Some(Content::Str(s)) => s.clone(),
-        _ => String::new(),
-    }
-}
-
-/// Parses a `{"cmd":"health"}` response line.
+/// Decodes one reply line as body `B` (for example
+/// `decode::<HealthReport>` for a `{"cmd":"health"}` reply).
 ///
 /// # Errors
 ///
-/// [`ClientError::Protocol`] on an unparseable body,
-/// [`ClientError::Server`] if the line carries a typed error.
-pub fn parse_health(line: &str) -> Result<HealthInfo, ClientError> {
-    let body = body_under(line, "health")?;
-    Ok(HealthInfo {
-        status: str_field(&body, "status"),
-        draining: bool_field(&body, "draining"),
-        queue_depth: u64_field(&body, "queue_depth"),
-        shed_depth: u64_field(&body, "shed_depth"),
-        deadline_ms: u64_field(&body, "deadline_ms"),
-        overloaded: u64_field(&body, "overloaded"),
-        deadline_exceeded: u64_field(&body, "deadline_exceeded"),
-        model_generation: u64_field(&body, "model_generation"),
-    })
-}
-
-/// Parses a `{"cmd":"reload"}` acknowledgement line.
-///
-/// # Errors
-///
-/// As [`parse_health`]; a server that refused the reload answers with a
-/// typed `reload_failed` error, surfaced as [`ClientError::Server`].
-pub fn parse_reload(line: &str) -> Result<ReloadInfo, ClientError> {
-    let body = body_under(line, "reload")?;
-    Ok(ReloadInfo {
-        generation: u64_field(&body, "generation"),
-        params: u64_field(&body, "params"),
-    })
-}
-
-/// Parses a `{"cmd":"stats"}` response line.
-///
-/// # Errors
-///
-/// As [`parse_health`].
-pub fn parse_stats(line: &str) -> Result<StatsInfo, ClientError> {
-    let body = body_under(line, "stats")?;
-    Ok(StatsInfo {
-        requests: u64_field(&body, "requests"),
-        errors: u64_field(&body, "errors"),
-        overloaded: u64_field(&body, "overloaded"),
-        deadline_exceeded: u64_field(&body, "deadline_exceeded"),
-        cache_hits: u64_field(&body, "cache_hits"),
-        cache_misses: u64_field(&body, "cache_misses"),
-        sentinel_throttled: u64_field(&body, "sentinel_throttled"),
-        sentinel_poisoned: u64_field(&body, "sentinel_poisoned"),
-        sentinel_flagged: u64_field(&body, "sentinel_flagged"),
-        p99_latency_us: u64_field(&body, "p99_latency_us"),
-    })
-}
-
-/// Parses a `{"cmd":"sentinel"}` response line.
-///
-/// # Errors
-///
-/// As [`parse_health`].
-pub fn parse_sentinel(line: &str) -> Result<SentinelInfo, ClientError> {
-    let body = body_under(line, "sentinel")?;
-    let clients = match body.iter().find(|(k, _)| k == "clients").map(|(_, v)| v) {
-        Some(Content::Seq(rows)) => rows
-            .iter()
-            .filter_map(|row| {
-                let Content::Map(row) = row else { return None };
-                Some(SentinelClientInfo {
-                    client_id: str_field(row, "client_id"),
-                    queries: u64_field(row, "queries"),
-                    near_duplicates: u64_field(row, "near_duplicates"),
-                    verdict_flips: u64_field(row, "verdict_flips"),
-                    flagged: bool_field(row, "flagged"),
-                    flagged_at_query: u64_field(row, "flagged_at_query"),
-                    throttled: u64_field(row, "throttled"),
-                    poisoned: u64_field(row, "poisoned"),
-                })
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    Ok(SentinelInfo {
-        enabled: bool_field(&body, "enabled"),
-        action: str_field(&body, "action"),
-        tracked_clients: u64_field(&body, "tracked_clients"),
-        flagged_clients: u64_field(&body, "flagged_clients"),
-        clients,
-    })
-}
-
-/// Parses a `{"cmd":"slo"}` response line.
-///
-/// # Errors
-///
-/// As [`parse_health`].
-pub fn parse_slo(line: &str) -> Result<SloInfo, ClientError> {
-    let body = body_under(line, "slo")?;
-    let alarms = match body.iter().find(|(k, _)| k == "alarms").map(|(_, v)| v) {
-        Some(Content::Seq(rows)) => rows
-            .iter()
-            .filter_map(|row| {
-                let Content::Map(row) = row else { return None };
-                let windows = match row.iter().find(|(k, _)| k == "windows").map(|(_, v)| v) {
-                    Some(Content::Seq(ws)) => ws
-                        .iter()
-                        .filter_map(|w| {
-                            let Content::Map(w) = w else { return None };
-                            Some(SloWindowInfo {
-                                window_ms: u64_field(w, "window_ms"),
-                                max_burn_rate: f64_field(w, "max_burn_rate"),
-                                burn_rate: f64_field(w, "burn_rate"),
-                                covered: bool_field(w, "covered"),
-                                bad: u64_field(w, "bad"),
-                                total: u64_field(w, "total"),
-                            })
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                Some(SloAlarmInfo {
-                    name: str_field(row, "name"),
-                    firing: bool_field(row, "firing"),
-                    changed: bool_field(row, "changed"),
-                    windows,
-                })
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    Ok(SloInfo {
-        evaluated_at_ms: u64_field(&body, "evaluated_at_ms"),
-        alarms,
+/// [`ClientError::Server`] if the line carries the server's typed error
+/// body; [`ClientError::Protocol`] if it is not JSON, lacks the body,
+/// or the body lacks a required field.
+pub fn decode<B: Body>(line: &str) -> Result<B, ClientError> {
+    maleva_wire::decode(line).map_err(|e| match e {
+        DecodeError::Server(body) => ClientError::Server {
+            kind: body.kind,
+            detail: body.detail,
+            retryable: body.retryable,
+            retry_after_ms: body.retry_after_ms,
+        },
+        DecodeError::Malformed(detail) => ClientError::Protocol { detail },
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maleva_wire::{
+        encode, ErrorBody, HealthReport, MetricsSnapshot, ReloadAck, SentinelClientReport,
+        SentinelReport, SloAlarmReport, SloReport, SloWindowReport, Stats,
+    };
 
     #[test]
     fn parses_a_health_body() {
-        let line = "{\"health\":{\"status\":\"ok\",\"draining\":false,\"queue_depth\":3,\
-                    \"shed_depth\":48,\"deadline_ms\":30000,\"scorer_panics\":0,\
-                    \"row_failures\":0,\"overloaded\":2,\"deadline_exceeded\":1,\"faults\":[]}}";
-        let h = parse_health(line).unwrap();
+        let line = encode(&HealthReport {
+            status: "ok".to_string(),
+            queue_depth: 3,
+            shed_depth: 48,
+            deadline_ms: 30_000,
+            overloaded: 2,
+            deadline_exceeded: 1,
+            ..HealthReport::default()
+        });
+        let h: HealthReport = decode(&line).unwrap();
         assert_eq!(h.status, "ok");
         assert!(!h.draining);
         assert_eq!(h.queue_depth, 3);
@@ -398,12 +64,16 @@ mod tests {
     #[test]
     fn parses_a_reload_ack_and_reload_errors() {
         let line = "{\"reload\":{\"generation\":3,\"params\":1234}}";
-        let r = parse_reload(line).unwrap();
+        let r: ReloadAck = decode(line).unwrap();
         assert_eq!(r.generation, 3);
         assert_eq!(r.params, 1234);
-        let line = "{\"error\":{\"kind\":\"reload_failed\",\
-                    \"detail\":\"input dimension mismatch\",\"retryable\":false}}";
-        match parse_reload(line) {
+        let line = encode(&ErrorBody {
+            kind: "reload_failed".to_string(),
+            detail: "input dimension mismatch".to_string(),
+            retryable: false,
+            retry_after_ms: None,
+        });
+        match decode::<ReloadAck>(&line) {
             Err(ClientError::Server {
                 kind, retryable, ..
             }) => {
@@ -416,11 +86,26 @@ mod tests {
 
     #[test]
     fn parses_a_stats_body_ignoring_unknown_fields() {
-        let line = "{\"stats\":{\"requests\":10,\"errors\":1,\"overloaded\":0,\
-                    \"deadline_exceeded\":0,\"cache_hits\":4,\"cache_misses\":6,\
-                    \"sentinel_throttled\":2,\"sentinel_poisoned\":0,\"sentinel_flagged\":1,\
-                    \"p99_latency_us\":512,\"mystery_future_field\":true}}";
-        let s = parse_stats(line).unwrap();
+        let merged = MetricsSnapshot {
+            requests: 10,
+            errors: 1,
+            cache_hits: 4,
+            cache_misses: 6,
+            sentinel_throttled: 2,
+            sentinel_flagged: 1,
+            p99_latency_us: 512,
+            ..MetricsSnapshot::default()
+        };
+        let line = encode(&Stats {
+            shards: vec![merged.clone()],
+            merged,
+        })
+        .replacen(
+            "{\"stats\":{",
+            "{\"stats\":{\"mystery_future_field\":true,",
+            1,
+        );
+        let s = decode::<Stats>(&line).unwrap().merged;
         assert_eq!(s.requests, 10);
         assert_eq!(s.cache_hits, 4);
         assert_eq!(s.sentinel_throttled, 2);
@@ -430,15 +115,28 @@ mod tests {
 
     #[test]
     fn parses_a_sentinel_body() {
-        let line = "{\"sentinel\":{\"enabled\":true,\"action\":\"throttle\",\
-                    \"tracked_clients\":2,\"flagged_clients\":1,\"clients\":[\
-                    {\"client_id\":\"attacker\",\"queries\":40,\"near_duplicates\":20,\
-                     \"verdict_flips\":5,\"flagged\":true,\"flagged_at_query\":21,\
-                     \"throttled\":7,\"poisoned\":0,\"observed_rps\":12.5},\
-                    {\"client_id\":\"benign\",\"queries\":9,\"near_duplicates\":0,\
-                     \"verdict_flips\":0,\"flagged\":false,\"flagged_at_query\":0,\
-                     \"throttled\":0,\"poisoned\":0,\"observed_rps\":1.0}]}}";
-        let s = parse_sentinel(line).unwrap();
+        let line = encode(&SentinelReport {
+            enabled: true,
+            action: "throttle".to_string(),
+            tracked_clients: 2,
+            flagged_clients: 1,
+            clients: vec![
+                SentinelClientReport {
+                    client_id: "attacker".to_string(),
+                    queries: 40,
+                    flagged: true,
+                    flagged_at_query: 21,
+                    throttled: 7,
+                    ..SentinelClientReport::default()
+                },
+                SentinelClientReport {
+                    client_id: "benign".to_string(),
+                    queries: 9,
+                    ..SentinelClientReport::default()
+                },
+            ],
+        });
+        let s: SentinelReport = decode(&line).unwrap();
         assert!(s.enabled);
         assert_eq!(s.action, "throttle");
         assert_eq!(s.tracked_clients, 2);
@@ -453,13 +151,31 @@ mod tests {
 
     #[test]
     fn parses_an_slo_body() {
-        let line = "{\"slo\":{\"evaluated_at_ms\":1500,\"alarms\":[\
-                    {\"name\":\"request_p99_latency\",\"firing\":true,\"changed\":false,\
-                     \"windows\":[{\"window_ms\":60000,\"max_burn_rate\":14.0,\
-                     \"burn_rate\":22.5,\"covered\":true,\"bad\":9,\"total\":10}]},\
-                    {\"name\":\"error_rate\",\"firing\":false,\"changed\":false,\
-                     \"windows\":[]}]}}";
-        let s = parse_slo(line).unwrap();
+        let line = encode(&SloReport {
+            evaluated_at_ms: 1500,
+            alarms: vec![
+                SloAlarmReport {
+                    name: "request_p99_latency".to_string(),
+                    firing: true,
+                    changed: false,
+                    windows: vec![SloWindowReport {
+                        window_ms: 60_000,
+                        max_burn_rate: 14.0,
+                        burn_rate: 22.5,
+                        covered: true,
+                        bad: 9,
+                        total: 10,
+                    }],
+                },
+                SloAlarmReport {
+                    name: "error_rate".to_string(),
+                    firing: false,
+                    changed: false,
+                    windows: Vec::new(),
+                },
+            ],
+        });
+        let s: SloReport = decode(&line).unwrap();
         assert_eq!(s.evaluated_at_ms, 1500);
         assert_eq!(s.alarms.len(), 2);
         assert!(s.any_firing());
@@ -477,7 +193,7 @@ mod tests {
     #[test]
     fn error_bodies_surface_as_server_errors() {
         let line = "{\"error\":{\"kind\":\"internal\",\"detail\":\"boom\",\"retryable\":false}}";
-        match parse_health(line).unwrap_err() {
+        match decode::<HealthReport>(line).unwrap_err() {
             ClientError::Server { kind, .. } => assert_eq!(kind, "internal"),
             other => panic!("unexpected {other:?}"),
         }
@@ -485,9 +201,18 @@ mod tests {
 
     #[test]
     fn garbage_is_a_protocol_error() {
-        for line in ["", "nope", "{\"weird\":1}", "{\"health\":[1]}"] {
+        for line in [
+            "",
+            "nope",
+            "{\"weird\":1}",
+            "{\"health\":[1]}",
+            "{\"error\":{\"detail\":\"no kind\",\"retryable\":true}}",
+        ] {
             assert!(
-                matches!(parse_health(line), Err(ClientError::Protocol { .. })),
+                matches!(
+                    decode::<HealthReport>(line),
+                    Err(ClientError::Protocol { .. })
+                ),
                 "{line:?}"
             );
         }

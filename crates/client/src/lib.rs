@@ -20,10 +20,16 @@
 //!   retries, a fresh `span_id` per attempt) carried on the request
 //!   line and mirrored in `client.request` / `client.attempt` spans,
 //!   so one logical request is followable client → server in a single
-//!   trace.
+//!   trace;
+//! * **typed replies** ([`info`]) — every reply decodes into the
+//!   `maleva-wire` body the server encoded it from (re-exported here:
+//!   [`HealthReport`], [`Stats`], [`SentinelReport`], ...), so a
+//!   missing or mistyped field is a [`ClientError::Protocol`], never a
+//!   silent zero.
 //!
-//! The crate deliberately does not depend on `maleva-serve`: it speaks
-//! the wire protocol directly, as an external client would.
+//! The crate deliberately does not depend on `maleva-serve`: it shares
+//! only the `maleva-wire` schema with it, and encodes its own
+//! (byte-pinned) request lines.
 //!
 //! # Quickstart
 //!
@@ -52,7 +58,7 @@ pub use client::{
     ScoreOutcome,
 };
 pub use error::ClientError;
-pub use info::{
-    HealthInfo, ReloadInfo, SentinelClientInfo, SentinelInfo, SloAlarmInfo, SloInfo, SloWindowInfo,
-    StatsInfo,
+pub use maleva_wire::{
+    HealthReport, MetricsSnapshot, ReloadAck, SentinelClientReport, SentinelReport, SloAlarmReport,
+    SloReport, SloWindowReport, Stats,
 };

@@ -12,8 +12,12 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use maleva_client::{BackoffPolicy, BreakerConfig, ClientConfig, ClientError, ScoreClient};
+use maleva_client::{
+    BackoffPolicy, BreakerConfig, ClientConfig, ClientError, HealthReport, MetricsSnapshot,
+    ScoreClient, SentinelClientReport, SentinelReport, Stats,
+};
 use maleva_obs::trace::{self, Sink};
+use maleva_wire::encode;
 
 const SCORE_LINE: &str =
     "{\"score\":0.75,\"verdict\":\"malware\",\"cached\":false,\"batch_size\":3}";
@@ -94,22 +98,64 @@ fn fast_config(addr: SocketAddr) -> ClientConfig {
     }
 }
 
-const HEALTH_LINE: &str = "{\"health\":{\"status\":\"ok\",\"draining\":false,\
-                           \"queue_depth\":2,\"shed_depth\":48,\"deadline_ms\":30000,\
-                           \"overloaded\":1,\"deadline_exceeded\":0,\"faults\":[]}}";
-const STATS_LINE: &str = "{\"stats\":{\"requests\":11,\"errors\":2,\"overloaded\":1,\
-                          \"deadline_exceeded\":0,\"cache_hits\":5,\"cache_misses\":6,\
-                          \"sentinel_throttled\":3,\"sentinel_poisoned\":0,\
-                          \"sentinel_flagged\":1,\"p99_latency_us\":256}}";
-const SENTINEL_LINE: &str = "{\"sentinel\":{\"enabled\":true,\"action\":\"throttle\",\
-                             \"tracked_clients\":1,\"flagged_clients\":1,\"clients\":[\
-                             {\"client_id\":\"probe\",\"queries\":33,\"near_duplicates\":20,\
-                             \"verdict_flips\":4,\"flagged\":true,\"flagged_at_query\":17,\
-                             \"throttled\":9,\"poisoned\":0,\"observed_rps\":8.0}]}}";
+/// Keeps a rendered reply alive for the scripts, which take
+/// `&'static str`.
+fn leak(line: String) -> &'static str {
+    Box::leak(line.into_boxed_str())
+}
+
+fn health_line() -> &'static str {
+    leak(encode(&HealthReport {
+        status: "ok".to_string(),
+        queue_depth: 2,
+        shed_depth: 48,
+        deadline_ms: 30_000,
+        overloaded: 1,
+        ..HealthReport::default()
+    }))
+}
+
+fn stats_line() -> &'static str {
+    let merged = MetricsSnapshot {
+        requests: 11,
+        errors: 2,
+        overloaded: 1,
+        cache_hits: 5,
+        cache_misses: 6,
+        sentinel_throttled: 3,
+        sentinel_flagged: 1,
+        p99_latency_us: 256,
+        ..MetricsSnapshot::default()
+    };
+    leak(encode(&Stats {
+        shards: vec![merged.clone()],
+        merged,
+    }))
+}
+
+fn sentinel_line() -> &'static str {
+    leak(encode(&SentinelReport {
+        enabled: true,
+        action: "throttle".to_string(),
+        tracked_clients: 1,
+        flagged_clients: 1,
+        clients: vec![SentinelClientReport {
+            client_id: "probe".to_string(),
+            queries: 33,
+            near_duplicates: 20,
+            verdict_flips: 4,
+            flagged: true,
+            flagged_at_query: 17,
+            throttled: 9,
+            observed_rps: 8.0,
+            ..SentinelClientReport::default()
+        }],
+    }))
+}
 
 #[test]
 fn typed_health_helper_parses_the_report() {
-    let (addr, server) = fake_server(vec![Script::Respond(vec![HEALTH_LINE])]);
+    let (addr, server) = fake_server(vec![Script::Respond(vec![health_line()])]);
     let mut client = ScoreClient::new(fast_config(addr));
     let health = client.health().expect("health");
     assert_eq!(health.status, "ok");
@@ -122,7 +168,7 @@ fn typed_health_helper_parses_the_report() {
 
 #[test]
 fn typed_stats_helper_parses_the_snapshot() {
-    let (addr, server) = fake_server(vec![Script::Respond(vec![STATS_LINE])]);
+    let (addr, server) = fake_server(vec![Script::Respond(vec![stats_line()])]);
     let mut client = ScoreClient::new(fast_config(addr));
     let stats = client.stats().expect("stats");
     assert_eq!(stats.requests, 11);
@@ -136,7 +182,7 @@ fn typed_stats_helper_parses_the_snapshot() {
 
 #[test]
 fn typed_sentinel_helper_parses_the_report() {
-    let (addr, server) = fake_server(vec![Script::Respond(vec![SENTINEL_LINE])]);
+    let (addr, server) = fake_server(vec![Script::Respond(vec![sentinel_line()])]);
     let mut client = ScoreClient::new(fast_config(addr));
     let report = client.sentinel().expect("sentinel");
     assert!(report.enabled);
@@ -146,6 +192,38 @@ fn typed_sentinel_helper_parses_the_report() {
     assert!(probe.flagged);
     assert_eq!(probe.flagged_at_query, 17);
     assert_eq!(probe.throttled, 9);
+    drop(client);
+    server.join().unwrap();
+}
+
+/// A body missing a required field is a typed protocol error, not a
+/// zero: the server never omits these fields, so their absence means
+/// client and server disagree on the schema.
+#[test]
+fn missing_required_fields_are_protocol_errors_not_zeros() {
+    let lines = vec![
+        leak(stats_line().replacen("\"requests\":11,", "", 1)),
+        leak(health_line().replacen("\"model_generation\":0,", "", 1)),
+        leak(SCORE_LINE.replacen(",\"batch_size\":3", "", 1)),
+    ];
+    let (addr, server) = fake_server(vec![Script::Respond(lines)]);
+    let mut client = ScoreClient::new(ClientConfig {
+        max_attempts: 1,
+        ..fast_config(addr)
+    });
+    let err = client.stats().expect_err("stats without `requests`");
+    assert!(matches!(err, ClientError::Protocol { .. }), "{err:?}");
+    let err = client
+        .health()
+        .expect_err("health without `model_generation`");
+    assert!(matches!(err, ClientError::Protocol { .. }), "{err:?}");
+    match client.score_counts(&[1, 2, 3]) {
+        Err(ClientError::RetriesExhausted { last, .. }) => {
+            assert!(matches!(*last, ClientError::Protocol { .. }), "{last:?}")
+        }
+        other => panic!("score without `batch_size` must fail to decode: {other:?}"),
+    }
+    assert_eq!(client.metrics().snapshot().protocol_errors, 1);
     drop(client);
     server.join().unwrap();
 }

@@ -3,20 +3,11 @@
 //! stream must be balanced — every `enter` has a matching `exit`, and
 //! nesting forms a valid per-thread tree.
 
+use maleva_wire::Json;
 use proptest::prelude::*;
 use serde::Content;
 
 use maleva_obs::trace::{self, Span};
-
-/// Newtype deserializing into the raw `Content` tree so arbitrary
-/// JSON objects can be inspected.
-struct JsonValue(Content);
-
-impl<'de> serde::Deserialize<'de> for JsonValue {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        d.content().map(JsonValue)
-    }
-}
 
 fn get<'a>(map: &'a [(String, Content)], key: &str) -> Option<&'a Content> {
     map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -47,8 +38,9 @@ struct ParsedRecord {
 }
 
 fn parse_record(line: &str) -> ParsedRecord {
-    let JsonValue(content) =
-        serde_json::from_str(line).unwrap_or_else(|e| panic!("invalid JSON {line:?}: {e:?}"));
+    let content = serde_json::from_str::<Json>(line)
+        .unwrap_or_else(|e| panic!("invalid JSON {line:?}: {e:?}"))
+        .into_content();
     let Content::Map(map) = content else {
         panic!("trace line is not an object: {line:?}");
     };

@@ -1,6 +1,8 @@
 use std::error::Error;
 use std::fmt;
 
+use maleva_wire::ErrorBody;
+
 /// Typed protocol/service errors, each of which maps to one `error`
 /// response on the wire (see [`crate::protocol`]).
 ///
@@ -116,6 +118,16 @@ impl ServeError {
             ServeError::Overloaded { retry_after_ms, .. }
             | ServeError::Throttled { retry_after_ms } => Some(*retry_after_ms),
             _ => None,
+        }
+    }
+
+    /// The `error` body this error is answered with on the wire.
+    pub fn body(&self) -> ErrorBody {
+        ErrorBody {
+            kind: self.kind().to_string(),
+            detail: self.to_string(),
+            retryable: self.is_retryable(),
+            retry_after_ms: self.retry_after_ms(),
         }
     }
 }

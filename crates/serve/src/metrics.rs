@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use maleva_obs::metrics::{Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS};
-use serde::Serialize;
+pub use maleva_wire::MetricsSnapshot;
 
 /// Shared metrics for one server instance. Each server owns its own
 /// [`Registry`] so concurrent servers in one process never collide.
@@ -354,145 +354,71 @@ impl Metrics {
     }
 }
 
-/// A point-in-time copy of the server's counters — the body of the
-/// `{"cmd": "stats"}` response and of `BENCH_serve.json` entries. Taken
-/// per shard; [`MetricsSnapshot::merge`] combines them into the
-/// server-wide view.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct MetricsSnapshot {
-    /// Score requests received.
-    pub requests: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Rows scored by the network (cache misses).
-    pub rows_scored: u64,
-    /// Cache hits.
-    pub cache_hits: u64,
-    /// Cache misses.
-    pub cache_misses: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`, 0 when no lookups.
-    pub cache_hit_rate: f64,
-    /// Live entries in the cache at snapshot time.
-    pub cache_entries: usize,
-    /// Typed error responses sent.
-    pub errors: u64,
-    /// Overload rejections (subset of `errors`).
-    pub overloaded: u64,
-    /// Admission-control rejections before the queue filled (subset of
-    /// `overloaded`).
-    pub shed: u64,
-    /// Requests answered with `deadline_exceeded` (subset of `errors`).
-    pub deadline_exceeded: u64,
-    /// Batches that panicked and fell back to per-row scoring.
-    pub scorer_panics: u64,
-    /// Rows that failed even in per-row isolation.
-    pub row_failures: u64,
-    /// Faults fired by the injector.
-    pub faults_injected: u64,
-    /// Requests refused with `throttled` by the sentinel (subset of
-    /// `errors`).
-    pub sentinel_throttled: u64,
-    /// Requests answered with poisoned scores.
-    pub sentinel_poisoned: u64,
-    /// Near-duplicate queries the sentinel observed.
-    pub sentinel_near_duplicates: u64,
-    /// Decision-boundary verdict flips the sentinel observed.
-    pub sentinel_verdict_flips: u64,
-    /// Clients newly flagged by the sentinel.
-    pub sentinel_flagged: u64,
-    /// Clients tracked by the sentinel at snapshot time.
-    pub sentinel_tracked_clients: u64,
-    /// Jobs waiting in the scoring queue at snapshot time.
-    pub queue_depth: u64,
-    /// `rows_scored / batches`, 0 when no batches ran.
-    pub mean_batch_size: f64,
-    /// Median request latency, µs (bucket upper bound).
-    pub p50_latency_us: u64,
-    /// 99th-percentile request latency, µs (bucket upper bound).
-    pub p99_latency_us: u64,
-    /// Power-of-two latency buckets: entry `i` counts requests in
-    /// `[2^(i-1), 2^i)` µs; the last bucket absorbs everything above.
-    pub latency_buckets_us: Vec<u64>,
-    /// Power-of-two batch-size buckets, same layout as latencies.
-    pub batch_size_buckets: Vec<u64>,
-    /// Sum of all recorded request latencies, µs (for merging).
-    pub latency_sum_us: u64,
-    /// Sum of all recorded batch sizes (for merging).
-    pub batch_size_sum: u64,
-    /// Per-stage latency buckets in pipeline order (six stages, same
-    /// bucket layout as `latency_buckets_us`).
-    pub stage_buckets_us: Vec<Vec<u64>>,
-    /// Per-stage latency sums, µs, aligned with `stage_buckets_us`.
-    pub stage_sums_us: Vec<u64>,
-}
-
-impl MetricsSnapshot {
-    /// Merges per-shard snapshots into one server-wide snapshot:
-    /// counters, gauges, sums, and buckets add element-wise; derived
-    /// rates and percentiles are recomputed from the merged totals.
-    /// Because every input is itself one coherent snapshot, the merged
-    /// counters always equal the per-shard sums — the wire's `stats`
-    /// body and its `shards` array can never disagree.
-    pub fn merge(shards: &[MetricsSnapshot]) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot {
-            latency_buckets_us: vec![0; HISTOGRAM_BUCKETS],
-            batch_size_buckets: vec![0; HISTOGRAM_BUCKETS],
-            stage_buckets_us: vec![vec![0; HISTOGRAM_BUCKETS]; 6],
-            stage_sums_us: vec![0; 6],
-            ..MetricsSnapshot::default()
-        };
-        fn add_buckets(into: &mut [u64], from: &[u64]) {
-            for (dst, src) in into.iter_mut().zip(from) {
-                *dst += src;
-            }
+/// Merges per-shard snapshots into one server-wide snapshot: counters,
+/// gauges, sums, and buckets add element-wise; derived rates and
+/// percentiles are recomputed from the merged totals. Because every
+/// input is itself one coherent snapshot, the merged counters always
+/// equal the per-shard sums — the wire's `stats` body and its `shards`
+/// array can never disagree.
+pub fn merge(shards: &[MetricsSnapshot]) -> MetricsSnapshot {
+    let mut out = MetricsSnapshot {
+        latency_buckets_us: vec![0; HISTOGRAM_BUCKETS],
+        batch_size_buckets: vec![0; HISTOGRAM_BUCKETS],
+        stage_buckets_us: vec![vec![0; HISTOGRAM_BUCKETS]; 6],
+        stage_sums_us: vec![0; 6],
+        ..MetricsSnapshot::default()
+    };
+    fn add_buckets(into: &mut [u64], from: &[u64]) {
+        for (dst, src) in into.iter_mut().zip(from) {
+            *dst += src;
         }
-        for s in shards {
-            out.requests += s.requests;
-            out.batches += s.batches;
-            out.rows_scored += s.rows_scored;
-            out.cache_hits += s.cache_hits;
-            out.cache_misses += s.cache_misses;
-            out.cache_entries += s.cache_entries;
-            out.errors += s.errors;
-            out.overloaded += s.overloaded;
-            out.shed += s.shed;
-            out.deadline_exceeded += s.deadline_exceeded;
-            out.scorer_panics += s.scorer_panics;
-            out.row_failures += s.row_failures;
-            out.faults_injected += s.faults_injected;
-            out.sentinel_throttled += s.sentinel_throttled;
-            out.sentinel_poisoned += s.sentinel_poisoned;
-            out.sentinel_near_duplicates += s.sentinel_near_duplicates;
-            out.sentinel_verdict_flips += s.sentinel_verdict_flips;
-            out.sentinel_flagged += s.sentinel_flagged;
-            out.sentinel_tracked_clients += s.sentinel_tracked_clients;
-            out.queue_depth += s.queue_depth;
-            out.latency_sum_us += s.latency_sum_us;
-            out.batch_size_sum += s.batch_size_sum;
-            add_buckets(&mut out.latency_buckets_us, &s.latency_buckets_us);
-            add_buckets(&mut out.batch_size_buckets, &s.batch_size_buckets);
-            for (stage, buckets) in out.stage_buckets_us.iter_mut().zip(&s.stage_buckets_us) {
-                add_buckets(stage, buckets);
-            }
-            for (dst, src) in out.stage_sums_us.iter_mut().zip(&s.stage_sums_us) {
-                *dst += src;
-            }
-        }
-        let lookups = out.cache_hits + out.cache_misses;
-        out.cache_hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            out.cache_hits as f64 / lookups as f64
-        };
-        out.mean_batch_size = if out.batches == 0 {
-            0.0
-        } else {
-            out.rows_scored as f64 / out.batches as f64
-        };
-        out.p50_latency_us = Histogram::quantile_of_buckets(&out.latency_buckets_us, 0.50);
-        out.p99_latency_us = Histogram::quantile_of_buckets(&out.latency_buckets_us, 0.99);
-        out
     }
+    for s in shards {
+        out.requests += s.requests;
+        out.batches += s.batches;
+        out.rows_scored += s.rows_scored;
+        out.cache_hits += s.cache_hits;
+        out.cache_misses += s.cache_misses;
+        out.cache_entries += s.cache_entries;
+        out.errors += s.errors;
+        out.overloaded += s.overloaded;
+        out.shed += s.shed;
+        out.deadline_exceeded += s.deadline_exceeded;
+        out.scorer_panics += s.scorer_panics;
+        out.row_failures += s.row_failures;
+        out.faults_injected += s.faults_injected;
+        out.sentinel_throttled += s.sentinel_throttled;
+        out.sentinel_poisoned += s.sentinel_poisoned;
+        out.sentinel_near_duplicates += s.sentinel_near_duplicates;
+        out.sentinel_verdict_flips += s.sentinel_verdict_flips;
+        out.sentinel_flagged += s.sentinel_flagged;
+        out.sentinel_tracked_clients += s.sentinel_tracked_clients;
+        out.queue_depth += s.queue_depth;
+        out.latency_sum_us += s.latency_sum_us;
+        out.batch_size_sum += s.batch_size_sum;
+        add_buckets(&mut out.latency_buckets_us, &s.latency_buckets_us);
+        add_buckets(&mut out.batch_size_buckets, &s.batch_size_buckets);
+        for (stage, buckets) in out.stage_buckets_us.iter_mut().zip(&s.stage_buckets_us) {
+            add_buckets(stage, buckets);
+        }
+        for (dst, src) in out.stage_sums_us.iter_mut().zip(&s.stage_sums_us) {
+            *dst += src;
+        }
+    }
+    let lookups = out.cache_hits + out.cache_misses;
+    out.cache_hit_rate = if lookups == 0 {
+        0.0
+    } else {
+        out.cache_hits as f64 / lookups as f64
+    };
+    out.mean_batch_size = if out.batches == 0 {
+        0.0
+    } else {
+        out.rows_scored as f64 / out.batches as f64
+    };
+    out.p50_latency_us = Histogram::quantile_of_buckets(&out.latency_buckets_us, 0.50);
+    out.p99_latency_us = Histogram::quantile_of_buckets(&out.latency_buckets_us, 0.99);
+    out
 }
 
 #[cfg(test)]
@@ -636,7 +562,7 @@ mod tests {
         b.batches.add(1);
         b.rows_scored.add(4);
         b.record_latency(Duration::from_micros(1000));
-        let merged = MetricsSnapshot::merge(&[a.snapshot(3), b.snapshot(1)]);
+        let merged = merge(&[a.snapshot(3), b.snapshot(1)]);
         assert_eq!(merged.requests, 15);
         assert_eq!(merged.cache_entries, 4);
         assert!((merged.cache_hit_rate - 0.6).abs() < 1e-12);
@@ -647,7 +573,7 @@ mod tests {
         assert!(merged.p50_latency_us <= 16, "{}", merged.p50_latency_us);
         assert!(merged.p99_latency_us >= 512, "{}", merged.p99_latency_us);
         // Merging one snapshot is the identity on the counter sums.
-        let solo = MetricsSnapshot::merge(&[a.snapshot(3)]);
+        let solo = merge(&[a.snapshot(3)]);
         assert_eq!(solo.requests, 10);
         assert_eq!(solo.p50_latency_us, a.snapshot(3).p50_latency_us);
     }
@@ -663,7 +589,7 @@ mod tests {
             inference: Duration::from_micros(90),
             ..StageTimes::default()
         });
-        let merged = MetricsSnapshot::merge(&[shard.snapshot(2)]);
+        let merged = merge(&[shard.snapshot(2)]);
         let aggregate = Metrics::new();
         aggregate.absorb(&merged);
         aggregate.absorb(&merged); // second absorb must not double-count

@@ -52,16 +52,20 @@
 //! and `retryable` (the full contract table lives in DESIGN.md §12 and
 //! the README protocol reference).
 //!
+//! Every response body is a `maleva-wire` type, encoded with
+//! `maleva_wire::encode` — the same declarations `maleva-client`
+//! decodes with. Only the score reply, the hot path, keeps its own
+//! [`encode_score`].
+//!
 //! Counts are validated strictly — finite, non-negative, integral, and
 //! at most `u32::MAX` — because the features are API-call counts; any
 //! violation yields a typed [`ServeError`], never a panic.
 
-use serde::{Content, Serialize};
+use maleva_wire::Json;
+pub use maleva_wire::{HealthReport, ScoreResponse};
+use serde::Content;
 
 use crate::error::ServeError;
-use crate::metrics::MetricsSnapshot;
-use crate::sentinel::SentinelReport;
-use crate::slo::SloReport;
 
 /// Longest accepted `client_id`, in bytes.
 const MAX_CLIENT_ID_BYTES: usize = 128;
@@ -79,17 +83,6 @@ pub struct TraceContext {
     pub trace_id: u64,
     /// The caller's span id for this attempt (`0` when not supplied).
     pub span_id: u64,
-}
-
-/// Newtype that deserializes into the raw [`Content`] tree, giving the
-/// request parser full structural control (the vendored `serde_json`
-/// has no `Value` type).
-struct JsonValue(Content);
-
-impl<'de> serde::Deserialize<'de> for JsonValue {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        d.content().map(JsonValue)
-    }
 }
 
 /// A parsed client request.
@@ -134,9 +127,11 @@ pub enum Request {
 /// [`ServeError::MalformedJson`], [`ServeError::UnknownCommand`],
 /// [`ServeError::WrongDimension`], or [`ServeError::InvalidFeature`].
 pub fn parse_request(line: &str, dim: usize) -> Result<Request, ServeError> {
-    let JsonValue(value) = serde_json::from_str(line).map_err(|e| ServeError::MalformedJson {
-        detail: e.to_string(),
-    })?;
+    let value = serde_json::from_str::<Json>(line)
+        .map_err(|e| ServeError::MalformedJson {
+            detail: e.to_string(),
+        })?
+        .into_content();
     let Content::Map(entries) = value else {
         return Err(ServeError::UnknownCommand {
             command: format!("non-object request ({})", type_name(&value)),
@@ -274,215 +269,13 @@ fn type_name(v: &Content) -> &'static str {
     }
 }
 
-/// The score response body.
-#[derive(Debug, Clone)]
-pub struct ScoreResponse {
-    /// Malware confidence in `[0, 1]`.
-    pub score: f64,
-    /// `"malware"` (score ≥ 0.5) or `"clean"`.
-    pub verdict: &'static str,
-    /// Whether the score came from the cache (no forward pass ran).
-    pub cached: bool,
-    /// Rows in the batch that produced this score; `0` for cache hits.
-    pub batch_size: usize,
-    /// Generation of the model that produced the score (0 = boot
-    /// model; omitted on the wire while 0 so pre-reload responses are
-    /// byte-identical to the previous protocol version).
-    pub generation: u64,
-}
-
-impl ScoreResponse {
-    /// Builds a response from a score, deriving the verdict. The model
-    /// generation defaults to 0 (boot model); see
-    /// [`ScoreResponse::with_generation`].
-    pub fn new(score: f64, cached: bool, batch_size: usize) -> Self {
-        ScoreResponse {
-            score,
-            verdict: if score >= 0.5 { "malware" } else { "clean" },
-            cached,
-            batch_size,
-            generation: 0,
-        }
-    }
-
-    /// Stamps the model generation that produced the score.
-    pub fn with_generation(mut self, generation: u64) -> Self {
-        self.generation = generation;
-        self
-    }
-}
-
-impl Serialize for ScoreResponse {
-    fn to_content(&self) -> Content {
-        let mut fields = vec![
-            ("score".to_string(), Content::F64(self.score)),
-            (
-                "verdict".to_string(),
-                Content::Str(self.verdict.to_string()),
-            ),
-            ("cached".to_string(), Content::Bool(self.cached)),
-            (
-                "batch_size".to_string(),
-                Content::U64(self.batch_size as u64),
-            ),
-        ];
-        if self.generation > 0 {
-            fields.push(("generation".to_string(), Content::U64(self.generation)));
-        }
-        Content::Map(fields)
-    }
-}
-
 /// Encodes a score response line (no trailing newline).
 pub fn encode_score(resp: &ScoreResponse) -> String {
     serde_json::to_string(resp).unwrap_or_else(|_| encode_internal_error("score encoding"))
 }
 
-/// Encodes a stats response line.
-pub fn encode_stats(snapshot: &MetricsSnapshot) -> String {
-    #[derive(Serialize)]
-    struct Wrapper<'a> {
-        stats: &'a MetricsSnapshot,
-    }
-    serde_json::to_string(&Wrapper { stats: snapshot })
-        .unwrap_or_else(|_| encode_internal_error("stats encoding"))
-}
-
-/// Encodes a stats response line carrying both the merged snapshot and
-/// the per-shard snapshots it was merged from (appended as a `shards`
-/// array inside the `stats` body). Callers must derive `merged` from
-/// the very same `shards` vector so the wire body is
-/// snapshot-consistent: the merged counters always equal the sums of
-/// the per-shard ones, even when taken mid-drain.
-pub fn encode_stats_with_shards(merged: &MetricsSnapshot, shards: &[MetricsSnapshot]) -> String {
-    struct Raw(Content);
-    impl Serialize for Raw {
-        fn to_content(&self) -> Content {
-            self.0.clone()
-        }
-    }
-    let Content::Map(mut body) = merged.to_content() else {
-        return encode_internal_error("stats encoding");
-    };
-    body.push((
-        "shards".to_string(),
-        Content::Seq(shards.iter().map(Serialize::to_content).collect()),
-    ));
-    #[derive(Serialize)]
-    struct Wrapper {
-        stats: Raw,
-    }
-    serde_json::to_string(&Wrapper {
-        stats: Raw(Content::Map(body)),
-    })
-    .unwrap_or_else(|_| encode_internal_error("stats encoding"))
-}
-
-/// Encodes a reload acknowledgement line.
-pub fn encode_reload_ack(generation: u64, params: usize) -> String {
-    format!("{{\"reload\":{{\"generation\":{generation},\"params\":{params}}}}}")
-}
-
-/// Encodes the shutdown acknowledgement line.
-pub fn encode_shutdown_ack() -> String {
-    "{\"ok\":\"shutting down\"}".to_string()
-}
-
-/// The body of a `{"cmd": "health"}` response.
-#[derive(Debug, Clone, Serialize)]
-pub struct HealthReport {
-    /// `"ok"` when accepting work, `"draining"` during shutdown.
-    pub status: &'static str,
-    /// Whether a drain is in progress.
-    pub draining: bool,
-    /// Jobs currently waiting in the scoring queue.
-    pub queue_depth: u64,
-    /// Queue depth at which admission control starts shedding.
-    pub shed_depth: u64,
-    /// The per-request deadline, in milliseconds.
-    pub deadline_ms: u64,
-    /// Batches whose forward pass panicked and were re-scored per row.
-    pub scorer_panics: u64,
-    /// Rows that failed even the per-row fallback (`internal` replies).
-    pub row_failures: u64,
-    /// Requests shed or rejected with `overloaded`.
-    pub overloaded: u64,
-    /// Requests answered with `deadline_exceeded`.
-    pub deadline_exceeded: u64,
-    /// Generation of the model currently serving (0 = boot model).
-    pub model_generation: u64,
-    /// Per-site injected-fault counters, `(site, fired)` in stable
-    /// order; empty when fault injection is disabled.
-    pub faults: Vec<(String, u64)>,
-}
-
-/// Encodes a health response line.
-pub fn encode_health(report: &HealthReport) -> String {
-    #[derive(Serialize)]
-    struct Wrapper<'a> {
-        health: &'a HealthReport,
-    }
-    serde_json::to_string(&Wrapper { health: report })
-        .unwrap_or_else(|_| encode_internal_error("health encoding"))
-}
-
-/// Encodes a sentinel inspection response line.
-pub fn encode_sentinel(report: &SentinelReport) -> String {
-    #[derive(Serialize)]
-    struct Wrapper<'a> {
-        sentinel: &'a SentinelReport,
-    }
-    serde_json::to_string(&Wrapper { sentinel: report })
-        .unwrap_or_else(|_| encode_internal_error("sentinel encoding"))
-}
-
-/// Encodes an SLO alarm-state response line.
-pub fn encode_slo(report: &SloReport) -> String {
-    #[derive(Serialize)]
-    struct Wrapper<'a> {
-        slo: &'a SloReport,
-    }
-    serde_json::to_string(&Wrapper { slo: report })
-        .unwrap_or_else(|_| encode_internal_error("slo encoding"))
-}
-
-/// Encodes an error response line. `retry_after_ms` is included only
-/// when the error carries a hint (`overloaded`).
-pub fn encode_error(err: &ServeError) -> String {
-    struct Body<'a> {
-        kind: &'static str,
-        detail: &'a str,
-        retryable: bool,
-        retry_after_ms: Option<u64>,
-    }
-    impl serde::Serialize for Body<'_> {
-        fn to_content(&self) -> Content {
-            let mut fields = vec![
-                ("kind".to_string(), Content::Str(self.kind.to_string())),
-                ("detail".to_string(), Content::Str(self.detail.to_string())),
-                ("retryable".to_string(), Content::Bool(self.retryable)),
-            ];
-            if let Some(ms) = self.retry_after_ms {
-                fields.push(("retry_after_ms".to_string(), Content::U64(ms)));
-            }
-            Content::Map(fields)
-        }
-    }
-    #[derive(Serialize)]
-    struct Wrapper<'a> {
-        error: Body<'a>,
-    }
-    let detail = err.to_string();
-    serde_json::to_string(&Wrapper {
-        error: Body {
-            kind: err.kind(),
-            detail: &detail,
-            retryable: err.is_retryable(),
-            retry_after_ms: err.retry_after_ms(),
-        },
-    })
-    .unwrap_or_else(|_| encode_internal_error("error encoding"))
-}
+/// The shutdown acknowledgement line.
+pub const SHUTDOWN_ACK: &str = "{\"ok\":\"shutting down\"}";
 
 fn encode_internal_error(what: &str) -> String {
     format!(
@@ -493,6 +286,10 @@ fn encode_internal_error(what: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maleva_wire::{
+        encode, MetricsSnapshot, ReloadAck, SentinelClientReport, SentinelReport, SloAlarmReport,
+        SloReport, SloWindowReport, Stats,
+    };
 
     #[test]
     fn parses_a_well_formed_score_request() {
@@ -682,7 +479,7 @@ mod tests {
     }
 
     fn error_body(line: &str) -> Vec<(String, Content)> {
-        let JsonValue(v) = serde_json::from_str(line).unwrap();
+        let v = serde_json::from_str::<Json>(line).unwrap().into_content();
         let Content::Map(top) = v else {
             panic!("not an object")
         };
@@ -694,10 +491,13 @@ mod tests {
 
     #[test]
     fn error_encoding_round_trips_kind_and_retry_hint() {
-        let line = encode_error(&ServeError::Overloaded {
-            capacity: 64,
-            retry_after_ms: 12,
-        });
+        let line = encode(
+            &ServeError::Overloaded {
+                capacity: 64,
+                retry_after_ms: 12,
+            }
+            .body(),
+        );
         let body = error_body(&line);
         assert!(body
             .iter()
@@ -717,14 +517,16 @@ mod tests {
             ServeError::ShuttingDown,
             ServeError::MalformedJson { detail: "x".into() },
         ] {
-            let body = error_body(&encode_error(&err));
+            let body = error_body(&encode(&err.body()));
             assert!(
                 !body.iter().any(|(k, _)| k == "retry_after_ms"),
                 "{} should not carry retry_after_ms",
                 err.kind()
             );
         }
-        let body = error_body(&encode_error(&ServeError::Throttled { retry_after_ms: 25 }));
+        let body = error_body(&encode(
+            &ServeError::Throttled { retry_after_ms: 25 }.body(),
+        ));
         assert!(body
             .iter()
             .any(|(k, v)| k == "kind" && *v == Content::Str("throttled".into())));
@@ -738,12 +540,12 @@ mod tests {
 
     #[test]
     fn sentinel_report_encodes_under_a_sentinel_key() {
-        let line = encode_sentinel(&SentinelReport {
+        let line = encode(&SentinelReport {
             enabled: true,
             action: "throttle".to_string(),
             tracked_clients: 1,
             flagged_clients: 1,
-            clients: vec![crate::sentinel::SentinelClientReport {
+            clients: vec![SentinelClientReport {
                 client_id: "attacker".to_string(),
                 queries: 40,
                 near_duplicates: 30,
@@ -766,13 +568,13 @@ mod tests {
 
     #[test]
     fn slo_report_encodes_under_an_slo_key() {
-        let line = encode_slo(&SloReport {
+        let line = encode(&SloReport {
             evaluated_at_ms: 1200,
-            alarms: vec![crate::slo::SloAlarmReport {
+            alarms: vec![SloAlarmReport {
                 name: "request_p99_latency".to_string(),
                 firing: true,
                 changed: false,
-                windows: vec![crate::slo::SloWindowReport {
+                windows: vec![SloWindowReport {
                     window_ms: 60_000,
                     max_burn_rate: 14.0,
                     burn_rate: 20.5,
@@ -792,8 +594,8 @@ mod tests {
 
     #[test]
     fn health_encoding_includes_queue_and_fault_state() {
-        let line = encode_health(&HealthReport {
-            status: "ok",
+        let line = encode(&HealthReport {
+            status: "ok".to_string(),
             draining: false,
             queue_depth: 3,
             shed_depth: 48,
@@ -848,7 +650,10 @@ mod tests {
     #[test]
     fn reload_ack_encodes_generation_and_params() {
         assert_eq!(
-            encode_reload_ack(3, 31_000),
+            encode(&ReloadAck {
+                generation: 3,
+                params: 31_000
+            }),
             "{\"reload\":{\"generation\":3,\"params\":31000}}"
         );
     }
@@ -857,12 +662,12 @@ mod tests {
     fn stats_with_shards_appends_the_per_shard_array() {
         let merged = MetricsSnapshot::default();
         let shards = vec![MetricsSnapshot::default(), MetricsSnapshot::default()];
-        let line = encode_stats_with_shards(&merged, &shards);
+        let line = encode(&Stats { merged, shards });
         assert!(line.starts_with("{\"stats\":{"), "{line}");
         assert!(line.contains("\"shards\":[{"), "{line}");
         // The merged body comes first, shards last, one line.
         assert!(!line.contains('\n'));
-        let JsonValue(v) = serde_json::from_str(&line).unwrap();
+        let v = serde_json::from_str::<Json>(&line).unwrap().into_content();
         let Content::Map(top) = v else {
             panic!("not an object")
         };

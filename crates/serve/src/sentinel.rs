@@ -35,7 +35,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+pub use maleva_wire::{SentinelClientReport, SentinelReport};
 
 /// What the sentinel does with queries from a flagged client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,49 +214,6 @@ impl ClientState {
             last_seen: now,
         }
     }
-}
-
-/// Per-client report row in a `{"cmd":"sentinel"}` response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SentinelClientReport {
-    /// The client's identifier (`client_id` field, or peer address).
-    pub client_id: String,
-    /// Total score queries recorded.
-    pub queries: u64,
-    /// Total near-duplicate queries observed.
-    pub near_duplicates: u64,
-    /// Total verdict flips observed.
-    pub verdict_flips: u64,
-    /// Near-duplicates currently in the sliding window.
-    pub window_near_duplicates: usize,
-    /// Verdict flips currently in the sliding window.
-    pub window_verdict_flips: usize,
-    /// Whether this client is flagged (sticky).
-    pub flagged: bool,
-    /// Query index at which the client was flagged (`0` = never).
-    pub flagged_at_query: u64,
-    /// Queries refused with `throttled`.
-    pub throttled: u64,
-    /// Queries answered with poisoned scores.
-    pub poisoned: u64,
-    /// Observed request rate (queries per second of wall clock between
-    /// first and last query) — reporting only, never a decision input.
-    pub observed_rps: f64,
-}
-
-/// The body of a `{"cmd":"sentinel"}` response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SentinelReport {
-    /// Whether the sentinel is enabled.
-    pub enabled: bool,
-    /// The configured action (`"throttle"` / `"poison"`).
-    pub action: String,
-    /// Clients currently tracked.
-    pub tracked_clients: usize,
-    /// Clients currently flagged.
-    pub flagged_clients: usize,
-    /// Per-client rows, sorted by `client_id`.
-    pub clients: Vec<SentinelClientReport>,
 }
 
 /// The stateful sentinel. One instance per server, guarding all

@@ -19,7 +19,7 @@
 //!
 //! Cross-shard views (`{"cmd": "stats"}`, the Prometheus exposition,
 //! health, SLO evaluation) are merged on demand: every shard takes one
-//! coherent snapshot, [`MetricsSnapshot::merge`] combines them, and the
+//! coherent snapshot, [`crate::metrics::merge`] combines them, and the
 //! aggregate registry absorbs the result — so the merged counters
 //! always equal the per-shard sums, even mid-drain.
 //!
@@ -39,12 +39,13 @@ use maleva_core::DetectorPipeline;
 use maleva_obs::metrics::Gauge;
 use maleva_obs::slo::SloSpec;
 use maleva_obs::trace;
+use maleva_wire::{ReloadAck, Stats};
 
 use crate::batch::ScoreJob;
 use crate::cache::LruCache;
 use crate::error::ServeError;
 use crate::fault::{FaultInjector, FaultPlan, FaultSite};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{self, Metrics, MetricsSnapshot};
 use crate::protocol::HealthReport;
 use crate::reactor::Poller;
 use crate::reload::{load_model, ModelSlot};
@@ -176,21 +177,21 @@ impl Shared {
 
 /// Takes one coherent per-shard snapshot vector, merges it, and raises
 /// the aggregate registry (exposition, SLO inputs) to the merged
-/// totals. Returns `(merged, per_shard)` — both derived from the SAME
-/// snapshots, so a `stats` body and its `shards` array can never
-/// disagree, even taken mid-drain.
-pub(crate) fn refresh(shared: &Shared) -> (MetricsSnapshot, Vec<MetricsSnapshot>) {
+/// totals. Returns the `stats` body — the merged snapshot and the
+/// per-shard ones both derive from the SAME snapshots, so they can
+/// never disagree, even taken mid-drain.
+pub(crate) fn refresh(shared: &Shared) -> Stats {
     let _guard = match shared.refresh_lock.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     };
-    let per_shard: Vec<MetricsSnapshot> = shared.shards.iter().map(|s| s.snapshot()).collect();
-    let merged = MetricsSnapshot::merge(&per_shard);
+    let shards: Vec<MetricsSnapshot> = shared.shards.iter().map(|s| s.snapshot()).collect();
+    let merged = metrics::merge(&shards);
     shared.aggregate.absorb(&merged);
     shared
         .model_generation
         .set(shared.model.generation().min(i64::MAX as u64) as i64);
-    (merged, per_shard)
+    Stats { merged, shards }
 }
 
 /// Refreshes the aggregate registry, then evaluates the SLO alarms
@@ -203,32 +204,29 @@ pub(crate) fn evaluate_slo(shared: &Shared) -> SloReport {
 /// Loads, validates, and atomically installs the model at `path`.
 /// Serialized under the reload lock; on any error the current
 /// generation keeps serving untouched (no torn swap).
-pub(crate) fn do_reload(shared: &Shared, path: &str) -> Result<(u64, usize), ServeError> {
+pub(crate) fn do_reload(shared: &Shared, path: &str) -> Result<ReloadAck, ServeError> {
     let _guard = match shared.reload_lock.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     };
     let network = load_model(path, &shared.pipeline)?;
-    let params = network.param_count();
+    let params = network.param_count() as u64;
     let generation = shared.model.install(network);
     shared
         .model_generation
         .set(generation.min(i64::MAX as u64) as i64);
     trace::event(
         "serve.reload",
-        &[
-            ("generation", generation.into()),
-            ("params", (params as u64).into()),
-        ],
+        &[("generation", generation.into()), ("params", params.into())],
     );
-    Ok((generation, params))
+    Ok(ReloadAck { generation, params })
 }
 
 pub(crate) fn health_report(shared: &Shared) -> HealthReport {
     let draining = shared.shutting_down.load(Ordering::SeqCst);
-    let (merged, _) = refresh(shared);
+    let merged = refresh(shared).merged;
     HealthReport {
-        status: if draining { "draining" } else { "ok" },
+        status: if draining { "draining" } else { "ok" }.to_string(),
         draining,
         queue_depth: merged.queue_depth,
         shed_depth: shared.config.shed_queue_depth as u64,
@@ -302,7 +300,7 @@ impl ServerHandle {
 
     /// A point-in-time metrics snapshot, merged across shards.
     pub fn metrics(&self) -> MetricsSnapshot {
-        refresh(&self.shared).0
+        refresh(&self.shared).merged
     }
 
     /// Per-site injected-fault counters, `(site, fired)` in stable
@@ -337,7 +335,7 @@ impl ServerHandle {
     /// loaded or does not match the serving pipeline; the current
     /// generation keeps serving.
     pub fn reload(&self, path: &str) -> Result<u64, ServeError> {
-        do_reload(&self.shared, path).map(|(generation, _)| generation)
+        do_reload(&self.shared, path).map(|ack| ack.generation)
     }
 
     /// The generation of the model currently serving (0 = boot model).
@@ -354,14 +352,14 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shared.trigger_shutdown();
         self.join_threads();
-        refresh(&self.shared).0
+        refresh(&self.shared).merged
     }
 
     /// Blocks until the server shuts down (e.g. a client sent
     /// `{"cmd": "shutdown"}`), then returns the final metrics.
     pub fn join(mut self) -> MetricsSnapshot {
         self.join_threads();
-        refresh(&self.shared).0
+        refresh(&self.shared).merged
     }
 
     fn join_threads(&mut self) {

@@ -25,6 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use maleva_obs::trace::{self, Span};
+use maleva_wire as wire;
 
 use crate::batch::{collect_batch, score_rows_isolated, ScoreJob, ScoredReply};
 use crate::cache::{quantize, LruCache};
@@ -344,65 +345,43 @@ fn process_line(
             span.record("cmd", "stats");
             // Both the merged body and the `shards` array come from the
             // SAME snapshot vector, so they agree even mid-drain.
-            let (merged, per_shard) = server::refresh(shared);
-            send_line(
-                shared,
-                shard,
-                conn,
-                &protocol::encode_stats_with_shards(&merged, &per_shard),
-                false,
-            );
+            let stats = server::refresh(shared);
+            send_line(shared, shard, conn, &wire::encode(&stats), false);
         }
         Ok(Request::Metrics) => {
             span.record("cmd", "metrics");
-            let (merged, _) = server::refresh(shared);
+            let merged = server::refresh(shared).merged;
             let text = shared.aggregate.render_prometheus(merged.cache_entries);
             write_metrics_block(conn, &text);
         }
         Ok(Request::Health) => {
             span.record("cmd", "health");
-            send_line(
-                shared,
-                shard,
-                conn,
-                &protocol::encode_health(&server::health_report(shared)),
-                false,
-            );
+            let health = server::health_report(shared);
+            send_line(shared, shard, conn, &wire::encode(&health), false);
         }
         Ok(Request::Sentinel) => {
             span.record("cmd", "sentinel");
-            send_line(
-                shared,
-                shard,
-                conn,
-                &protocol::encode_sentinel(&server::sentinel_report(shared)),
-                false,
-            );
+            let report = server::sentinel_report(shared);
+            send_line(shared, shard, conn, &wire::encode(&report), false);
         }
         Ok(Request::Slo) => {
             span.record("cmd", "slo");
             let report = server::evaluate_slo(shared);
-            send_line(shared, shard, conn, &protocol::encode_slo(&report), false);
+            send_line(shared, shard, conn, &wire::encode(&report), false);
         }
         Ok(Request::Reload { path }) => {
             span.record("cmd", "reload");
             match server::do_reload(shared, &path) {
-                Ok((generation, params)) => {
-                    span.record("generation", generation);
-                    send_line(
-                        shared,
-                        shard,
-                        conn,
-                        &protocol::encode_reload_ack(generation, params),
-                        false,
-                    );
+                Ok(ack) => {
+                    span.record("generation", ack.generation);
+                    send_line(shared, shard, conn, &wire::encode(&ack), false);
                 }
                 Err(e) => respond_error(shared, shard, conn, &e),
             }
         }
         Ok(Request::Shutdown) => {
             span.record("cmd", "shutdown");
-            send_line(shared, shard, conn, &protocol::encode_shutdown_ack(), false);
+            send_line(shared, shard, conn, protocol::SHUTDOWN_ACK, false);
             shared.trigger_shutdown();
             conn.dead = true;
         }
@@ -699,7 +678,7 @@ fn finish_score(
         ScoreOutcome::Reply { resp, faulted } => (protocol::encode_score(resp), *faulted),
         ScoreOutcome::Error(err) => {
             shard.metrics.errors.inc();
-            (protocol::encode_error(err), true)
+            (wire::encode(&err.body()), true)
         }
     };
     send_line(shared, shard, conn, &line, faulted);
@@ -757,7 +736,7 @@ fn serve_score(
 
 fn respond_error(shared: &Arc<Shared>, shard: &ShardState, conn: &mut Conn, err: &ServeError) {
     shard.metrics.errors.inc();
-    send_line(shared, shard, conn, &protocol::encode_error(err), true);
+    send_line(shared, shard, conn, &wire::encode(&err.body()), true);
 }
 
 /// Writes one response line, marking the connection dead on failure;

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use maleva_obs::metrics::{Counter, Gauge, Registry};
 use maleva_obs::slo::{BurnWindow, Objective, SloEngine, SloSpec};
 use maleva_obs::trace;
-use serde::Serialize;
+pub use maleva_wire::{SloAlarmReport, SloReport, SloWindowReport};
 
 /// The default serve-side SLOs:
 ///
@@ -166,45 +166,6 @@ impl SloRuntime {
             alarms,
         }
     }
-}
-
-/// The body of a `{"cmd": "slo"}` response.
-#[derive(Debug, Clone, Serialize)]
-pub struct SloReport {
-    /// Server uptime at evaluation, milliseconds.
-    pub evaluated_at_ms: u64,
-    /// One entry per configured SLO, in spec order.
-    pub alarms: Vec<SloAlarmReport>,
-}
-
-/// Alarm state for one SLO.
-#[derive(Debug, Clone, Serialize)]
-pub struct SloAlarmReport {
-    /// The spec name (also the `slo_alarm_<name>` gauge suffix).
-    pub name: String,
-    /// Whether every window is covered and burning over its budget.
-    pub firing: bool,
-    /// Whether this evaluation flipped the alarm's state.
-    pub changed: bool,
-    /// Per-window burn-rate detail, in spec order.
-    pub windows: Vec<SloWindowReport>,
-}
-
-/// Burn-rate detail for one alarm window.
-#[derive(Debug, Clone, Serialize)]
-pub struct SloWindowReport {
-    /// The lookback window, milliseconds.
-    pub window_ms: u64,
-    /// The burn-rate multiple above which this window votes to fire.
-    pub max_burn_rate: f64,
-    /// The observed burn rate (bad fraction / error budget).
-    pub burn_rate: f64,
-    /// Whether the server has been up long enough to cover the window.
-    pub covered: bool,
-    /// Bad events inside the window.
-    pub bad: u64,
-    /// Total events inside the window.
-    pub total: u64,
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use std::time::Duration;
 
 use maleva_core::{ExperimentContext, ExperimentScale};
 use maleva_nn::{Activation, Network, NetworkBuilder};
-use maleva_serve::{spawn, FaultPlan, ServeConfig, ServerHandle};
-use serde::Content;
+use maleva_serve::{spawn, FaultPlan, ScoreResponse, ServeConfig, ServerHandle};
+use maleva_wire::{MetricsSnapshot, Stats};
 
 fn ctx() -> &'static ExperimentContext {
     static CTX: OnceLock<ExperimentContext> = OnceLock::new();
@@ -91,51 +91,10 @@ impl Wire {
     }
 }
 
-/// Pulls the `"score"` field bits out of a response line (Rust's f64
-/// `Display` is shortest-roundtrip, so parsing back is bit-exact).
-fn parse_score_bits(line: &str) -> u64 {
-    assert!(
-        line.starts_with("{\"score\":"),
-        "expected a score response, got: {line}"
-    );
-    let rest = &line["{\"score\":".len()..];
-    let end = rest.find(',').expect("fields after score");
-    rest[..end]
-        .parse::<f64>()
-        .expect("score is a float")
-        .to_bits()
-}
-
-/// The `"generation"` field of a score response (0 when omitted, i.e.
-/// the boot model).
-fn parse_generation(line: &str) -> u64 {
-    match line.find("\"generation\":") {
-        None => 0,
-        Some(at) => {
-            let rest = &line[at + "\"generation\":".len()..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().expect("generation is an integer")
-        }
-    }
-}
-
-struct JsonValue(Content);
-
-impl<'de> serde::Deserialize<'de> for JsonValue {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        d.content().map(JsonValue)
-    }
-}
-
-fn u64_of(content: &Content) -> u64 {
-    match content {
-        Content::U64(v) => *v,
-        Content::I64(v) => (*v).max(0) as u64,
-        Content::F64(v) => *v as u64,
-        other => panic!("not a number: {other:?}"),
-    }
+/// Decodes a score reply line; anything else fails the test.
+fn score_reply(line: &str) -> ScoreResponse {
+    maleva_wire::decode(line)
+        .unwrap_or_else(|e| panic!("expected a score response, got {line}: {e:?}"))
 }
 
 /// Every response under a reload storm is bit-identical to exactly one
@@ -210,8 +169,8 @@ fn reload_soak_every_response_belongs_to_exactly_one_model() {
                 for r in 0..200 {
                     let (line, boot_bits, alt_bits) = &pool[(c * 5 + r) % pool.len()];
                     let resp = wire.roundtrip(line);
-                    let got = parse_score_bits(&resp);
-                    let generation = parse_generation(&resp);
+                    let reply = score_reply(&resp);
+                    let (got, generation) = (reply.score.to_bits(), reply.generation);
                     // Bit-identical to exactly one candidate…
                     assert!(
                         got == *boot_bits || got == *alt_bits,
@@ -288,47 +247,22 @@ fn stats_merge_is_snapshot_consistent_under_concurrent_traffic() {
     let mut stats_wire = Wire::connect(addr);
     for probe in 0..25 {
         let line = stats_wire.roundtrip("{\"cmd\":\"stats\"}");
-        let JsonValue(value) = serde_json::from_str(&line).expect("stats is JSON");
-        let Content::Map(entries) = value else {
-            panic!("stats is not an object: {line}")
-        };
-        let Some((_, Content::Map(body))) = entries.into_iter().find(|(k, _)| k == "stats") else {
-            panic!("no stats body: {line}")
-        };
-        let field = |name: &str| {
-            body.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .unwrap_or_else(|| panic!("stats lacks {name}: {line}"))
-        };
-        let Content::Seq(shards) = field("shards") else {
-            panic!("no shards array: {line}")
-        };
-        assert_eq!(shards.len(), 4, "one entry per shard");
-        for key in [
-            "requests",
-            "errors",
-            "cache_hits",
-            "cache_misses",
-            "batches",
-            "rows_scored",
-        ] {
-            let merged = u64_of(field(key));
-            let sum: u64 = shards
-                .iter()
-                .map(|shard| {
-                    let Content::Map(fields) = shard else {
-                        panic!("shard entry is not an object")
-                    };
-                    fields
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .map(|(_, v)| u64_of(v))
-                        .expect("per-shard counter present")
-                })
-                .sum();
+        let stats: Stats = maleva_wire::decode(&line).expect("stats body");
+        assert_eq!(stats.shards.len(), 4, "one entry per shard");
+        type Counter = fn(&MetricsSnapshot) -> u64;
+        let counters: [(&str, Counter); 6] = [
+            ("requests", |s| s.requests),
+            ("errors", |s| s.errors),
+            ("cache_hits", |s| s.cache_hits),
+            ("cache_misses", |s| s.cache_misses),
+            ("batches", |s| s.batches),
+            ("rows_scored", |s| s.rows_scored),
+        ];
+        for (key, counter) in counters {
+            let sum: u64 = stats.shards.iter().map(counter).sum();
             assert_eq!(
-                merged, sum,
+                counter(&stats.merged),
+                sum,
                 "probe {probe}: merged `{key}` diverges from its per-shard sum: {line}"
             );
         }
@@ -424,7 +358,7 @@ fn failed_and_chaotic_reloads_never_tear_the_generation() {
             }
             let want = if generation == 0 { boot_bits } else { alt_bits };
             assert_eq!(
-                parse_score_bits(&resp),
+                score_reply(&resp).score.to_bits(),
                 want,
                 "round {round}: score diverged from the installed model: {resp}"
             );
@@ -435,5 +369,31 @@ fn failed_and_chaotic_reloads_never_tear_the_generation() {
 
     let health = handle.health();
     assert_eq!(health.model_generation, generation);
+    drop(handle);
+}
+
+/// A score sent after a reload carries the generation the reload
+/// acknowledged, end to end through the client.
+#[test]
+fn a_score_after_a_reload_reports_the_acked_generation() {
+    let dir = scratch("generation");
+    let alt_path = export(&dir, "alt.json", &alternate_network(77));
+    let handle = spawn(ctx().detector.clone(), ServeConfig::default()).expect("spawn server");
+    let mut client = maleva_client::ScoreClient::connect_to(&handle.addr().to_string());
+    let counts = ctx().dataset.test()[0].counts();
+
+    let before = client
+        .score_counts(counts)
+        .expect("score before the reload");
+    assert_eq!(before.generation, 0, "the boot model is generation 0");
+    let ack = client.reload(&alt_path).expect("reload");
+    assert_eq!(ack.generation, 1);
+    let after = client.score_counts(counts).expect("score after the reload");
+    assert_eq!(after.generation, ack.generation);
+    assert_eq!(
+        after.score.to_bits(),
+        oracle_bits(&alternate_network(77), counts),
+        "scored by the installed model"
+    );
     drop(handle);
 }

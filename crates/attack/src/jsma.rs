@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use maleva_linalg::Matrix;
 use maleva_nn::{Network, NnError};
 
 use crate::{AttackOutcome, EvasionAttack, CLEAN_CLASS};
@@ -30,6 +31,10 @@ pub enum SaliencyPolicy {
 /// constraint — is not already saturated at 1. The attack stops when the
 /// crafting model classifies the sample as clean or when `⌊γ·M⌋` distinct
 /// features have been perturbed.
+///
+/// An iteration runs one forward pass, at the freshly perturbed sample:
+/// its logits answer the evasion test, and its pre-activations feed the
+/// next iteration's Jacobian, which then costs only a backward pass.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Jsma {
     /// Perturbation magnitude per modified feature.
@@ -104,15 +109,10 @@ impl Jsma {
         (self.gamma * dim as f64).floor() as usize
     }
 
-    /// One saliency evaluation: returns the best eligible feature (or
-    /// pair) and whether any positive-saliency choice exists.
-    fn select_features(
-        &self,
-        net: &Network,
-        x: &[f64],
-        perturbed: &[bool],
-    ) -> Result<Vec<usize>, NnError> {
-        let jac = net.probability_jacobian(x, self.temperature)?;
+    /// One saliency evaluation over the probability Jacobian `jac` at
+    /// `x`: returns the best eligible feature (or pair), or nothing when
+    /// no positive-saliency choice exists.
+    fn select_features(&self, jac: &Matrix, x: &[f64], perturbed: &[bool]) -> Vec<usize> {
         let dim = x.len();
         let eligible = |j: usize| !perturbed[j] && (!self.add_only || x[j] < 1.0 - 1e-12);
         // With clean as the target class: saliency is the gradient of
@@ -120,7 +120,7 @@ impl Jsma {
         // automatic for 2 classes (∂F1 = −∂F0) and enforced generally here.
         let toward = |j: usize| jac.get(CLEAN_CLASS, j);
         let away = |j: usize| -> f64 {
-            (0..net.num_classes())
+            (0..jac.rows())
                 .filter(|&c| c != CLEAN_CLASS)
                 .map(|c| jac.get(c, j))
                 .sum()
@@ -137,7 +137,7 @@ impl Jsma {
                         best = Some((j, s));
                     }
                 }
-                Ok(best.map(|(j, _)| vec![j]).unwrap_or_default())
+                best.map(|(j, _)| vec![j]).unwrap_or_default()
             }
             SaliencyPolicy::PairwiseProduct => {
                 let mut best: Option<((usize, usize), f64)> = None;
@@ -159,7 +159,7 @@ impl Jsma {
                         }
                     }
                 }
-                Ok(best.map(|((a, b), _)| vec![a, b]).unwrap_or_default())
+                best.map(|((a, b), _)| vec![a, b]).unwrap_or_default()
             }
         }
     }
@@ -179,15 +179,12 @@ impl EvasionAttack for Jsma {
         let mut order = Vec::new();
         let mut iterations = 0usize;
 
-        let classify = |net: &Network, x: &[f64]| -> Result<usize, NnError> {
-            let m = maleva_linalg::Matrix::row_vector(x);
-            Ok(net.predict(&m)?[0])
-        };
-
-        let mut evaded = classify(net, &x)? == CLEAN_CLASS;
+        let mut pass = net.forward_pass(&x)?;
+        let mut evaded = pass.predicted_class() == CLEAN_CLASS;
         while (!evaded || !self.stop_on_success) && order.len() < budget {
             iterations += 1;
-            let chosen = self.select_features(net, &x, &perturbed)?;
+            let jac = net.probability_jacobian_at(&pass, self.temperature)?;
+            let chosen = self.select_features(&jac, &x, &perturbed);
             if chosen.is_empty() {
                 break; // no admissible saliency direction remains
             }
@@ -200,7 +197,8 @@ impl EvasionAttack for Jsma {
                 perturbed[j] = true;
                 order.push(j);
             }
-            evaded = classify(net, &x)? == CLEAN_CLASS;
+            pass = net.forward_pass(&x)?;
+            evaded = pass.predicted_class() == CLEAN_CLASS;
         }
         let outcome = AttackOutcome::new(sample, x, order, evaded, iterations);
         span.record("iterations", outcome.iterations as u64);
@@ -216,7 +214,6 @@ mod tests {
     use super::*;
     use crate::detection_rate;
     use crate::testutil::trained_detector;
-    use maleva_linalg::Matrix;
 
     #[test]
     fn jsma_reduces_detection_rate() {

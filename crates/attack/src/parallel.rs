@@ -3,9 +3,10 @@
 //! Crafting is embarrassingly parallel across samples — each JSMA run
 //! touches only its own row — so sweeps over thousands of malware
 //! samples scale with cores. Results are **bit-identical** to the
-//! sequential path: rows are partitioned deterministically and written
-//! back in order, and every attack in this crate derives its randomness
-//! (if any) from the sample contents, not from shared state.
+//! sequential path: workers claim rows from a shared counter, each
+//! outcome is written back by its row index, and every attack in this
+//! crate derives its randomness (if any) from the sample contents, not
+//! from shared state.
 //!
 //! Long attack sweeps are also where a single bad sample can waste hours
 //! of work, so the batch runner is fault-tolerant:
@@ -23,6 +24,8 @@
 //! "first error wins" contract on top of the fault-tolerant core.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use maleva_linalg::Matrix;
 use maleva_nn::{Network, NnError};
@@ -323,42 +326,35 @@ where
     batch_span.record("rows", n as u64);
     batch_span.record("threads", threads as u64);
 
-    let mut results: Vec<Option<RowOutcome>> = Vec::new();
-    results.resize_with(n, || None);
-
+    // Workers claim rows one at a time from a shared counter, so a
+    // worker that drew short rows keeps crafting instead of idling while
+    // another finishes a long static chunk. Each outcome lands in its
+    // row's slot, so claim order cannot affect the result. The counter
+    // publishes nothing but the index it hands out, hence `Relaxed`; the
+    // slots are read only after every worker has been joined.
+    let slots: Vec<OnceLock<RowOutcome>> = (0..n).map(|_| OnceLock::new()).collect();
+    let next_row = AtomicUsize::new(0);
+    let work = || loop {
+        let r = next_row.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(r) else {
+            break;
+        };
+        slot.set(craft_row(attack, net, r, batch.row(r), policy.max_retries))
+            .expect("each row is claimed once");
+    };
     if threads <= 1 {
-        for (r, slot) in results.iter_mut().enumerate() {
-            *slot = Some(craft_row(attack, net, r, batch.row(r), policy.max_retries));
-        }
+        work();
     } else {
-        let chunk = n.div_ceil(threads);
         std::thread::scope(|scope| {
-            let mut rest: &mut [Option<RowOutcome>] = &mut results;
-            let mut start = 0usize;
-            while start < n {
-                let len = chunk.min(n - start);
-                let (head, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let begin = start;
-                scope.spawn(move || {
-                    for (offset, slot) in head.iter_mut().enumerate() {
-                        *slot = Some(craft_row(
-                            attack,
-                            net,
-                            begin + offset,
-                            batch.row(begin + offset),
-                            policy.max_retries,
-                        ));
-                    }
-                });
-                start += len;
+            for _ in 0..threads {
+                scope.spawn(work);
             }
         });
     }
 
-    let rows: Vec<RowOutcome> = results
+    let rows: Vec<RowOutcome> = slots
         .into_iter()
-        .map(|slot| slot.expect("every row visited"))
+        .map(|slot| slot.into_inner().expect("every row visited"))
         .collect();
 
     if batch_span.is_active() {

@@ -65,6 +65,16 @@ const METRICS: &[MetricSpec] = &[
         abs_slack: 0.0,
     },
     MetricSpec {
+        file: "BENCH_linalg.json",
+        // `matmul` over `matmul_nt` time at the backward pass's
+        // weakest shape (Jacobian and training input gradients). Every
+        // layer backward runs the nt kernel; this ratio falling means it
+        // slid back towards one serial chain of adds per element.
+        key: "nt_vs_matmul",
+        direction: Direction::HigherIsBetter,
+        abs_slack: 0.0,
+    },
+    MetricSpec {
         file: "BENCH_serve.json",
         key: "batched_forward_speedup",
         direction: Direction::HigherIsBetter,

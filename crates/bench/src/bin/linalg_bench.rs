@@ -19,12 +19,22 @@
 //!   checked against the scalar reference within its 1e-5 relative
 //!   tolerance instead of bitwise.
 //!
-//! The run **fails** unless every blocked/pooled result is bit-identical
-//! to the scalar kernel, every simd result sits within tolerance, the
-//! best f64 speedup at batch >= 64 reaches 1.5x, and the best
-//! `scalar_vs_simd` ratio on the Table IV substitute shapes at
+//! The backward pass's transpose-free product `a · bᵀ` is timed on its
+//! own at the shapes every layer backward meets — the input-gradient
+//! products of a quick-width and a paper-width Jacobian
+//! (`2×43 · (491×43)ᵀ`, `2×512 · (491×512)ᵀ`) and a paper-width
+//! training minibatch (`256×256 · (512×256)ᵀ`) — next to `matmul` on the
+//! pre-transposed operand, both single-threaded f64.
+//! `nt_vs_matmul` is the smallest `matmul`-over-`matmul_nt` time ratio
+//! across those shapes: the transpose-free kernel at its weakest.
+//!
+//! The run **fails** unless every blocked/pooled/nt result is
+//! bit-identical to the scalar kernel, every simd result sits within
+//! tolerance, the best f64 speedup at batch >= 64 reaches 1.5x, and the
+//! best `scalar_vs_simd` ratio on the Table IV substitute shapes at
 //! batch >= 64 reaches 1.5x — the floors the CI perf gate then defends
-//! against regression (see `bench_gate`).
+//! against regression (see `bench_gate`, which also gates
+//! `nt_vs_matmul`).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -97,6 +107,23 @@ struct ShapeResult {
     simd_within_tolerance: bool,
 }
 
+/// One backward-pass product `a (ra x c) · b (rb x c)ᵀ`: the
+/// transpose-free kernel against `matmul` on the pre-transposed `b`.
+#[derive(Serialize)]
+struct NtShapeResult {
+    name: String,
+    ra: usize,
+    c: usize,
+    rb: usize,
+    reps: usize,
+    nt_gflops: f64,
+    matmul_gflops: f64,
+    /// `matmul` time over `matmul_nt` time; above 1 the transpose-free
+    /// kernel is the faster of the two.
+    nt_vs_matmul: f64,
+    bit_identical: bool,
+}
+
 /// The whole `BENCH_linalg.json` document.
 #[derive(Serialize)]
 struct BenchReport {
@@ -117,6 +144,10 @@ struct BenchReport {
     /// reference (the Simd backend's correctness contract).
     simd_within_tolerance: bool,
     shapes: Vec<ShapeResult>,
+    /// Smallest `nt_vs_matmul` over `nt_shapes`: the backward kernel's
+    /// speed relative to `matmul` at its weakest backward shape.
+    nt_vs_matmul: f64,
+    nt_shapes: Vec<NtShapeResult>,
     /// One seeded training epoch of the target architecture
     /// (491 -> 512 -> 256 -> 2, batch 256, 512 samples).
     epoch_ms: f64,
@@ -224,6 +255,32 @@ fn bench_shape(
     }
 }
 
+fn bench_nt_shape(name: &str, ra: usize, c: usize, rb: usize, reps: usize) -> NtShapeResult {
+    let a = test_matrix(ra, c, (ra * 1_000_000 + c * 1000 + rb) as u64);
+    let b = test_matrix(rb, c, (rb * 1_000_000 + c) as u64);
+    let bt = b.transpose();
+    let blocked = backend::of(BackendKind::Blocked);
+    let nt = blocked.matmul_nt(&a, &b).expect("nt kernel");
+    let reference = kernels::matmul_scalar(&a, &bt).expect("scalar kernel");
+    let via_matmul = kernels::matmul_blocked(&a, &bt).expect("blocked kernel");
+    let identical = bit_identical(&reference, &nt) && bit_identical(&reference, &via_matmul);
+
+    let nt_s = best_secs(reps, || blocked.matmul_nt(&a, &b).expect("nt"));
+    let matmul_s = best_secs(reps, || kernels::matmul_blocked(&a, &bt).expect("blocked"));
+    let gflops = |secs: f64| 2.0 * (ra * c * rb) as f64 / secs / 1e9;
+    NtShapeResult {
+        name: name.to_string(),
+        ra,
+        c,
+        rb,
+        reps,
+        nt_gflops: gflops(nt_s),
+        matmul_gflops: gflops(matmul_s),
+        nt_vs_matmul: matmul_s / nt_s,
+        bit_identical: identical,
+    }
+}
+
 /// One seeded epoch of the target architecture on synthetic data.
 fn epoch_probe() -> f64 {
     let samples = 512;
@@ -326,7 +383,38 @@ fn main() -> ExitCode {
         shapes.push(r);
     }
 
-    let bit_ok = shapes.iter().all(|s| s.bit_identical);
+    // The backward products: both Jacobian input gradients and a
+    // training minibatch's hidden-layer input gradient.
+    let nt_specs: [(&str, usize, usize, usize, usize); 3] = [
+        ("jacobian_quick", 2, 43, 491, scale(400)),
+        ("jacobian_paper", 2, 512, 491, scale(60)),
+        ("train_paper", 256, 256, 512, scale(5)),
+    ];
+    let mut nt_shapes = Vec::with_capacity(nt_specs.len());
+    for (name, ra, c, rb, reps) in nt_specs {
+        let r = bench_nt_shape(name, ra, c, rb, reps);
+        println!(
+            "{:>14} {}x{}·({}x{})ᵀ  matmul_nt {:>5.2} GF/s  matmul {:>5.2} GF/s  \
+             nt_vs_matmul {:>4.2}  bitident={}",
+            r.name,
+            r.ra,
+            r.c,
+            r.rb,
+            r.c,
+            r.nt_gflops,
+            r.matmul_gflops,
+            r.nt_vs_matmul,
+            r.bit_identical
+        );
+        nt_shapes.push(r);
+    }
+    let nt_vs_matmul = nt_shapes
+        .iter()
+        .map(|s| s.nt_vs_matmul)
+        .fold(f64::INFINITY, f64::min);
+
+    let bit_ok =
+        shapes.iter().all(|s| s.bit_identical) && nt_shapes.iter().all(|s| s.bit_identical);
     let simd_tol_ok = shapes.iter().all(|s| s.simd_within_tolerance);
     let speedup_batch64 = shapes
         .iter()
@@ -354,7 +442,8 @@ fn main() -> ExitCode {
     println!(
         "bit_identical: {bit_ok} | simd_within_tolerance: {simd_tol_ok} | \
          best speedup at batch >= 64: {speedup_batch64:.2}x \
-         (blocked-only {blocked_speedup_batch64:.2}x, scalar_vs_simd {scalar_vs_simd:.2}x)"
+         (blocked-only {blocked_speedup_batch64:.2}x, scalar_vs_simd {scalar_vs_simd:.2}x) | \
+         nt_vs_matmul {nt_vs_matmul:.2}"
     );
 
     let report = BenchReport {
@@ -366,6 +455,8 @@ fn main() -> ExitCode {
         scalar_vs_simd,
         simd_within_tolerance: simd_tol_ok,
         shapes,
+        nt_vs_matmul,
+        nt_shapes,
         epoch_ms,
         jsma_row_jacobian_us,
     };
@@ -381,7 +472,7 @@ fn main() -> ExitCode {
     println!("wrote {out_path}");
 
     if !bit_ok {
-        eprintln!("error: blocked/pooled kernels diverged from the scalar reference");
+        eprintln!("error: blocked/pooled/nt kernels diverged from the scalar reference");
         return ExitCode::FAILURE;
     }
     if !simd_tol_ok {

@@ -359,6 +359,10 @@ pub(crate) fn matmul_tn_into(
     }
 }
 
+/// Rows of `b` that [`matmul_nt_into`] dots against one row of `a` at a
+/// time, one register accumulator each.
+const NR_NT: usize = 8;
+
 /// `a * b^T` without materializing the transpose: `a` is `(ra x c)`,
 /// `b` is `(rb x c)`, the result is `(ra x rb)`.
 ///
@@ -366,7 +370,11 @@ pub(crate) fn matmul_tn_into(
 /// is the dot product of row `i` of `a` and row `j` of `b`, accumulated
 /// in ascending `k` with the `a[i, k] == 0.0` skip. Rows of `b` are
 /// visited in `MC`-wide panels so the panel being dotted stays
-/// cache-resident.
+/// cache-resident. Inside a panel, `NR_NT` rows of `b` are dotted
+/// against the same row of `a` together: each has its own accumulator,
+/// so the adds form `NR_NT` independent chains instead of one, while
+/// every single chain still sees its terms in ascending `k` with the
+/// same skips.
 pub(crate) fn matmul_nt_into(
     a: &[f64],
     ra: usize,
@@ -383,7 +391,24 @@ pub(crate) fn matmul_nt_into(
         for i in 0..ra {
             let a_row = &a[i * c..(i + 1) * c];
             let o = &mut out[i * rb..(i + 1) * rb];
-            for j in jj..jend {
+            let mut j = jj;
+            while j + NR_NT <= jend {
+                let rows: [&[f64]; NR_NT] =
+                    std::array::from_fn(|r| &b[(j + r) * c..(j + r + 1) * c]);
+                let mut acc = [0.0; NR_NT];
+                for (kx, &av) in a_row.iter().enumerate() {
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for (acc_r, row) in acc.iter_mut().zip(&rows) {
+                        *acc_r += av * row[kx];
+                    }
+                }
+                o[j..j + NR_NT].copy_from_slice(&acc);
+                j += NR_NT;
+            }
+            // Panel tail (< NR_NT rows of `b` left).
+            for (j, o_j) in (j..jend).zip(&mut o[j..jend]) {
                 let b_row = &b[j * c..(j + 1) * c];
                 let mut acc = 0.0;
                 for (kx, &av) in a_row.iter().enumerate() {
@@ -392,7 +417,7 @@ pub(crate) fn matmul_nt_into(
                     }
                     acc += av * b_row[kx];
                 }
-                o[j] = acc;
+                *o_j = acc;
             }
         }
     }
@@ -514,6 +539,43 @@ mod tests {
         let mut out = Matrix::zeros(21, 33);
         matmul_nt_into(a.as_slice(), 21, 15, b.as_slice(), 33, out.as_mut_slice());
         assert_bit_identical(&reference, &out, "nt");
+    }
+
+    #[test]
+    fn nt_register_block_matches_scalar_reference_at_every_tail() {
+        // `rb` covers a lone row, a tail-only panel, exact blocks of
+        // `NR_NT` and blocks plus tails; `c` covers the quick and paper
+        // backward widths. Every fourth element of `a` is an exact zero
+        // and every seventh a `-0.0`, both of which must be skipped;
+        // `b` carries signed zeros too. Column `c / 2` of `a` is all
+        // zeros against infinities in `b`: a term that is not skipped
+        // turns its element into NaN.
+        for ra in [1, 2, 3] {
+            for c in [1, 43, 491] {
+                for rb in [1, 7, 8, 9, 16, 17] {
+                    let mut a = mat(ra, c, (ra * 1000 + c) as u64);
+                    for (idx, v) in a.as_mut_slice().iter_mut().enumerate() {
+                        if idx % 4 == 1 || (c > 1 && idx % c == c / 2) {
+                            *v = 0.0;
+                        } else if idx % 7 == 3 {
+                            *v = -0.0;
+                        }
+                    }
+                    let mut b = mat(rb, c, (rb * 1000 + c) as u64);
+                    for (idx, v) in b.as_mut_slice().iter_mut().enumerate() {
+                        if c > 1 && idx % c == c / 2 {
+                            *v = f64::INFINITY;
+                        } else if idx % 5 == 0 {
+                            *v = -0.0;
+                        }
+                    }
+                    let reference = matmul_scalar(&a, &b.transpose()).unwrap();
+                    let mut out = Matrix::zeros(ra, rb);
+                    matmul_nt_into(a.as_slice(), ra, c, b.as_slice(), rb, out.as_mut_slice());
+                    assert_bit_identical(&reference, &out, &format!("nt {ra}x{c}·({rb}x{c})ᵀ"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -111,20 +111,25 @@ impl Dense {
         self.weights.len() + self.bias.len()
     }
 
+    /// Pre-activations `x W + b`.
+    pub(crate) fn preact(&self, x: &Matrix) -> Result<Matrix, NnError> {
+        Ok(x.matmul(&self.weights)?.add_row_broadcast(&self.bias)?)
+    }
+
     /// Inference-mode forward pass (no dropout).
     pub(crate) fn forward(&self, x: &Matrix) -> Result<Matrix, NnError> {
-        let z = x.matmul(&self.weights)?.add_row_broadcast(&self.bias)?;
-        Ok(z.map(|v| self.activation.apply(v)))
+        Ok(self.preact(x)?.map(|v| self.activation.apply(v)))
     }
 
     /// Training-mode forward pass: applies dropout and caches
-    /// intermediates for backprop.
+    /// intermediates for backprop. Takes the input by value: the cache
+    /// keeps it for the weight gradient.
     pub(crate) fn forward_train(
         &self,
-        x: &Matrix,
+        x: Matrix,
         rng: &mut impl Rng,
     ) -> Result<(Matrix, LayerCache), NnError> {
-        let preact = x.matmul(&self.weights)?.add_row_broadcast(&self.bias)?;
+        let preact = self.preact(&x)?;
         let mut out = preact.map(|v| self.activation.apply(v));
         let mask = if self.dropout > 0.0 {
             let keep = 1.0 - self.dropout;
@@ -144,7 +149,7 @@ impl Dense {
         Ok((
             out,
             LayerCache {
-                input: x.clone(),
+                input: x,
                 preact,
                 mask,
             },
@@ -152,12 +157,14 @@ impl Dense {
     }
 
     /// Backward pass. `grad_out` is dL/d(layer output). Returns
-    /// `(grad_weights, grad_bias, grad_input)`.
+    /// `(grad_weights, grad_bias, grad_input)`; `grad_input` is computed
+    /// only when `input_grad` is set (the first layer's would go unread).
     pub(crate) fn backward(
         &self,
         cache: &LayerCache,
         grad_out: &Matrix,
-    ) -> Result<(Matrix, Vec<f64>, Matrix), NnError> {
+        input_grad: bool,
+    ) -> Result<(Matrix, Vec<f64>, Option<Matrix>), NnError> {
         // Undo dropout scaling first (dL/da_pre_dropout = dL/da_post ∘ mask).
         let grad_act = match &cache.mask {
             Some(mask) => grad_out.hadamard(mask)?,
@@ -172,23 +179,12 @@ impl Dense {
         // every minibatch.
         let grad_w = cache.input.matmul_tn(&delta)?;
         let grad_b = delta.sum_rows();
-        let grad_in = delta.matmul_nt(&self.weights)?;
+        let grad_in = if input_grad {
+            Some(delta.matmul_nt(&self.weights)?)
+        } else {
+            None
+        };
         Ok((grad_w, grad_b, grad_in))
-    }
-
-    /// Input-gradient-only backward pass for attack-side gradients:
-    /// propagates `grad_out` to dL/d(layer input) without computing the
-    /// weight/bias gradients (which attackers discard). Needs only the
-    /// pre-activations, not the cached input. Dropout is assumed
-    /// inactive (`mask` handling lives in the full [`Dense::backward`]).
-    pub(crate) fn backward_input_only(
-        &self,
-        preact: &Matrix,
-        grad_out: &Matrix,
-    ) -> Result<Matrix, NnError> {
-        let act = self.activation;
-        let delta = grad_out.zip_with(preact, |g, z| g * act.derivative(z))?;
-        Ok(delta.matmul_nt(&self.weights)?)
     }
 }
 
@@ -244,7 +240,7 @@ mod tests {
     fn dropout_zero_mask_is_none() {
         let l = layer_2x3();
         let x = Matrix::from_rows(&[vec![1.0, 1.0]]).unwrap();
-        let (_, cache) = l.forward_train(&x, &mut init::rng(0)).unwrap();
+        let (_, cache) = l.forward_train(x, &mut init::rng(0)).unwrap();
         assert!(cache.mask.is_none());
     }
 
@@ -253,7 +249,7 @@ mod tests {
         let w = Matrix::identity(4);
         let l = Dense::new(w, vec![0.0; 4], Activation::Identity, 0.5).unwrap();
         let x = Matrix::filled(64, 4, 1.0);
-        let (out, cache) = l.forward_train(&x, &mut init::rng(3)).unwrap();
+        let (out, cache) = l.forward_train(x, &mut init::rng(3)).unwrap();
         let mask = cache.mask.unwrap();
         let zeros = mask.iter().filter(|&v| v == 0.0).count();
         let scaled = mask.iter().filter(|&v| (v - 2.0).abs() < 1e-12).count();
@@ -275,9 +271,15 @@ mod tests {
         let l = Dense::new(w, vec![0.05, -0.02], Activation::Tanh, 0.0).unwrap();
         let x = Matrix::from_rows(&[vec![0.3, -0.2, 0.8], vec![-0.1, 0.4, 0.0]]).unwrap();
 
-        let (_, cache) = l.forward_train(&x, &mut rng).unwrap();
+        let (_, cache) = l.forward_train(x.clone(), &mut rng).unwrap();
         let grad_out = Matrix::filled(2, 2, 1.0); // dL/dout for L = sum(out)
-        let (gw, gb, gx) = l.backward(&cache, &grad_out).unwrap();
+        let (gw, gb, gx) = l.backward(&cache, &grad_out, true).unwrap();
+        let gx = gx.expect("input gradient requested");
+        // Skipping the input gradient leaves the parameter gradients as
+        // they are.
+        let (gw_only, gb_only, none) = l.backward(&cache, &grad_out, false).unwrap();
+        assert!(none.is_none());
+        assert_eq!((&gw_only, &gb_only), (&gw, &gb));
 
         let eps = 1e-6;
         let loss = |l: &Dense, x: &Matrix| l.forward(x).unwrap().sum();

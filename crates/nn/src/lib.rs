@@ -70,7 +70,7 @@ pub use activation::Activation;
 pub use checkpoint::TrainCheckpoint;
 pub use error::NnError;
 pub use layer::Dense;
-pub use network::{Gradients, Network, NetworkBuilder};
+pub use network::{ForwardPass, Gradients, Network, NetworkBuilder};
 pub use optim::OptimizerState;
 pub use softmax::{log_softmax, softmax, softmax_rows};
 pub use trainer::{DivergencePolicy, EpochStats, LabelSource, TrainConfig, TrainReport, Trainer};

@@ -28,8 +28,30 @@ pub struct Network {
 pub struct Gradients {
     /// `(weight_grad, bias_grad)` per layer, input-most first.
     pub layers: Vec<(Matrix, Vec<f64>)>,
-    /// Gradient of the loss with respect to the input batch.
-    pub input: Matrix,
+}
+
+/// One sample's inference forward pass, kept for the backward passes
+/// that reuse it ([`Network::forward_pass`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ForwardPass {
+    /// Pre-activations `h W + b` of every layer (one row each),
+    /// input-most first.
+    preacts: Vec<Matrix>,
+    /// The final layer's outputs.
+    logits: Matrix,
+}
+
+impl ForwardPass {
+    /// The logits of the sample.
+    pub fn logits(&self) -> &[f64] {
+        self.logits.row(0)
+    }
+
+    /// The predicted class: the argmax of the logits, exactly as
+    /// [`Network::predict`] returns it for this sample.
+    pub fn predicted_class(&self) -> usize {
+        self.logits.argmax_rows()[0]
+    }
 }
 
 impl Network {
@@ -198,7 +220,7 @@ impl Network {
         let mut h = x.clone();
         let mut caches = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
-            let (out, cache) = layer.forward_train(&h, rng)?;
+            let (out, cache) = layer.forward_train(h, rng)?;
             caches.push(cache);
             h = out;
         }
@@ -206,8 +228,10 @@ impl Network {
     }
 
     /// Backpropagates `grad_logits` (dL/dlogits) through the cached forward
-    /// pass, returning per-layer parameter gradients and the input
-    /// gradient.
+    /// pass, returning per-layer parameter gradients. The gradient with
+    /// respect to the input batch is never formed: training does not
+    /// read it, and at the paper's width it is a 491×512 product per
+    /// sample.
     pub(crate) fn backward(
         &self,
         caches: &[LayerCache],
@@ -216,16 +240,37 @@ impl Network {
         debug_assert_eq!(caches.len(), self.layers.len());
         let mut layer_grads: Vec<(Matrix, Vec<f64>)> = Vec::with_capacity(self.layers.len());
         let mut grad = grad_logits.clone();
-        for (layer, cache) in self.layers.iter().zip(caches.iter()).rev() {
-            let (gw, gb, gx) = layer.backward(cache, &grad)?;
+        for (i, (layer, cache)) in self.layers.iter().zip(caches).enumerate().rev() {
+            let (gw, gb, gx) = layer.backward(cache, &grad, i > 0)?;
             layer_grads.push((gw, gb));
-            grad = gx;
+            if let Some(gx) = gx {
+                grad = gx;
+            }
         }
         layer_grads.reverse();
         Ok(Gradients {
             layers: layer_grads,
-            input: grad,
         })
+    }
+
+    /// Propagates `grad` (dL/dlogits, one row per seed) back to dL/dx
+    /// through the pre-activations of an inference forward pass, skipping
+    /// the parameter gradients an attacker discards. A one-row `preacts`
+    /// entry is shared by every seed row; otherwise row `r` of `grad`
+    /// meets row `r` of each pre-activation.
+    fn backward_to_input(&self, preacts: &[Matrix], mut grad: Matrix) -> Result<Matrix, NnError> {
+        for (layer, preact) in self.layers.iter().zip(preacts).rev() {
+            let act = layer.activation();
+            let shared = preact.rows() == 1;
+            for (r, g_row) in grad.as_mut_slice().chunks_mut(preact.cols()).enumerate() {
+                let z_row = preact.row(if shared { 0 } else { r });
+                for (g, &z) in g_row.iter_mut().zip(z_row) {
+                    *g *= act.derivative(z);
+                }
+            }
+            grad = grad.matmul_nt(layer.weights())?;
+        }
+        Ok(grad)
     }
 
     /// Gradient of a scalar function of the logits with respect to the
@@ -248,28 +293,45 @@ impl Network {
                 ),
             });
         }
-        // Inference-mode forward keeping only pre-activations: the
-        // attacker-side backward pass needs neither dropout masks nor the
-        // per-layer inputs (those only feed weight gradients, which this
-        // path never computes).
+        let (preacts, _) = self.forward_keeping_preacts(x)?;
+        self.backward_to_input(&preacts, grad_logits.clone())
+    }
+
+    /// Inference-mode forward over a batch that keeps every layer's
+    /// pre-activations and returns them with the final outputs. The
+    /// attacker-side backward pass needs neither dropout masks nor the
+    /// per-layer inputs (those only feed weight gradients, which it never
+    /// computes).
+    fn forward_keeping_preacts(&self, x: &Matrix) -> Result<(Vec<Matrix>, Matrix), NnError> {
         let mut preacts = Vec::with_capacity(self.layers.len());
         let mut h: Option<Matrix> = None;
         for layer in &self.layers {
-            let input = h.as_ref().unwrap_or(x);
-            let preact = input
-                .matmul(layer.weights())?
-                .add_row_broadcast(layer.bias())?;
+            let preact = layer.preact(h.as_ref().unwrap_or(x))?;
             let act = layer.activation();
             h = Some(preact.map(|v| act.apply(v)));
             preacts.push(preact);
         }
-        // Input-only backward: propagate dL/dlogits to dL/dx skipping
-        // the (discarded) parameter gradients.
-        let mut grad = grad_logits.clone();
-        for (layer, preact) in self.layers.iter().zip(preacts.iter()).rev() {
-            grad = layer.backward_input_only(preact, &grad)?;
+        Ok((preacts, h.expect("a network has at least one layer")))
+    }
+
+    /// Inference forward pass of one sample that keeps every layer's
+    /// pre-activations, so the Jacobians at that sample
+    /// ([`Network::input_jacobian_at`],
+    /// [`Network::probability_jacobian_at`]) cost only a backward pass.
+    /// Its logits equal [`Network::logits`] of the same row bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InputShape`] if `sample.len() != input_dim()`.
+    pub fn forward_pass(&self, sample: &[f64]) -> Result<ForwardPass, NnError> {
+        if sample.len() != self.input_dim() {
+            return Err(NnError::InputShape {
+                expected: self.input_dim(),
+                actual: sample.len(),
+            });
         }
-        Ok(grad)
+        let (preacts, logits) = self.forward_keeping_preacts(&Matrix::row_vector(sample))?;
+        Ok(ForwardPass { preacts, logits })
     }
 
     /// The Jacobian of the **logits** with respect to a single input
@@ -281,28 +343,35 @@ impl Network {
     ///
     /// Returns [`NnError::InputShape`] if `sample.len() != input_dim()`.
     pub fn input_jacobian(&self, sample: &[f64]) -> Result<Matrix, NnError> {
-        if sample.len() != self.input_dim() {
-            return Err(NnError::InputShape {
-                expected: self.input_dim(),
-                actual: sample.len(),
+        self.input_jacobian_at(&self.forward_pass(sample)?)
+    }
+
+    /// [`Network::input_jacobian`] at the sample of an existing forward
+    /// pass of this network.
+    ///
+    /// All `num_classes` rows come from ONE backward pass seeded with the
+    /// identity (row `c` asks for d logit_c / dx); the one-row
+    /// pre-activations are shared by every seed row. Every linalg backend
+    /// treats batch rows independently, so this is bit-identical to a
+    /// forward/backward over the sample replicated once per class.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidConfig`] if `pass` does not have this
+    /// network's layer widths.
+    pub fn input_jacobian_at(&self, pass: &ForwardPass) -> Result<Matrix, NnError> {
+        let widths_match = pass.preacts.len() == self.layers.len()
+            && pass
+                .preacts
+                .iter()
+                .zip(&self.layers)
+                .all(|(z, layer)| z.shape() == (1, layer.out_dim()));
+        if !widths_match {
+            return Err(NnError::InvalidConfig {
+                detail: "forward pass does not match this network's layer widths".to_string(),
             });
         }
-        // All `num_classes` rows of the Jacobian come from ONE batched
-        // forward/backward: replicate the sample once per class and seed
-        // the backward pass with the identity (row `c` asks for
-        // d logit_c / dx). Every linalg backend on this path treats
-        // batch rows independently, so the result is bit-identical to
-        // looping over classes with per-row passes — at a fraction of
-        // the cost, which is what makes per-iteration JSMA saliency
-        // maps affordable.
-        let c = self.num_classes();
-        let mut replicated = Vec::with_capacity(c * sample.len());
-        for _ in 0..c {
-            replicated.extend_from_slice(sample);
-        }
-        let x = Matrix::from_vec(c, sample.len(), replicated)
-            .expect("replicated sample rows are uniform");
-        self.input_gradient(&x, &Matrix::identity(c))
+        self.backward_to_input(&pass.preacts, Matrix::identity(self.num_classes()))
     }
 
     /// The Jacobian of the **softmax probabilities** (at temperature `t`)
@@ -319,10 +388,24 @@ impl Network {
     ///
     /// Panics if `t <= 0`.
     pub fn probability_jacobian(&self, sample: &[f64], t: f64) -> Result<Matrix, NnError> {
-        let logit_jac = self.input_jacobian(sample)?;
-        let x = Matrix::row_vector(sample);
-        let z = self.logits(&x)?;
-        let p = softmax(z.row(0), t);
+        self.probability_jacobian_at(&self.forward_pass(sample)?, t)
+    }
+
+    /// [`Network::probability_jacobian`] at the sample of an existing
+    /// forward pass of this network: one backward pass, with the
+    /// softmax taken from the pass's logits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidConfig`] if `pass` does not have this
+    /// network's layer widths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t <= 0`.
+    pub fn probability_jacobian_at(&self, pass: &ForwardPass, t: f64) -> Result<Matrix, NnError> {
+        let logit_jac = self.input_jacobian_at(pass)?;
+        let p = softmax(pass.logits(), t);
         let c = p.len();
         // softmax Jacobian S (c x c): S[i][j] = (δij p_i − p_i p_j)/t
         let s = Matrix::from_fn(c, c, |i, j| {

@@ -181,3 +181,98 @@ proptest! {
         }
     }
 }
+
+/// Strategy: a stack whose hidden and output layers each take any of the
+/// four activations, with 2–4 classes, plus a weight seed.
+fn any_stack() -> impl Strategy<Value = (usize, Vec<Activation>, usize, u64)> {
+    let act = || {
+        prop::sample::select(vec![
+            Activation::ReLU,
+            Activation::Sigmoid,
+            Activation::Tanh,
+            Activation::Identity,
+        ])
+    };
+    (
+        2usize..9,
+        prop::collection::vec(act(), 2..4),
+        2usize..5,
+        0u64..1_000,
+    )
+}
+
+/// The Jacobians as computed before the one-row forward pass existed:
+/// the sample replicated once per class through `input_gradient` with an
+/// identity seed, and S·J with S built from a separate `logits` pass.
+fn replicated_jacobians(net: &Network, sample: &[f64], t: f64) -> (Matrix, Matrix) {
+    let c = net.num_classes();
+    let rows: Vec<Vec<f64>> = (0..c).map(|_| sample.to_vec()).collect();
+    let x = Matrix::from_rows(&rows).expect("replicated rows");
+    let logit_jac = net
+        .input_gradient(&x, &Matrix::identity(c))
+        .expect("input gradient");
+    let z = net.logits(&Matrix::row_vector(sample)).expect("logits");
+    let p = softmax(z.row(0), t);
+    let s = Matrix::from_fn(c, c, |i, j| {
+        let delta = if i == j { 1.0 } else { 0.0 };
+        (delta * p[i] - p[i] * p[j]) / t
+    });
+    let prob_jac = s.matmul(&logit_jac).expect("S·J");
+    (logit_jac, prob_jac)
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.iter().map(f64::to_bits).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn one_row_jacobians_equal_the_replicated_batch_bit_for_bit(
+        (input, acts, classes, seed) in any_stack(),
+        raw in prop::collection::vec((0u32..10, -1.0f64..1.0), 8),
+        t in prop::sample::select(vec![1.0, 2.0, 50.0]),
+    ) {
+        let (hidden, output) = acts.split_at(acts.len() - 1);
+        let mut b = NetworkBuilder::new(input);
+        for (i, &act) in hidden.iter().enumerate() {
+            b = b.layer(3 + i * 2, act);
+        }
+        let net = b.layer(classes, output[0]).seed(seed).build().expect("net");
+        // Count rows are sparse: exact zeros exercise the kernels' skip.
+        let sample: Vec<f64> = raw
+            .into_iter()
+            .take(input)
+            .map(|(z, v)| if z < 3 { 0.0 } else { v })
+            .collect();
+        let (logit_ref, prob_ref) = replicated_jacobians(&net, &sample, t);
+        prop_assert_eq!(bits(&net.input_jacobian(&sample).expect("J")), bits(&logit_ref));
+        prop_assert_eq!(
+            bits(&net.probability_jacobian(&sample, t).expect("P-J")),
+            bits(&prob_ref)
+        );
+
+        let pass = net.forward_pass(&sample).expect("forward pass");
+        prop_assert_eq!(bits(&net.input_jacobian_at(&pass).expect("J")), bits(&logit_ref));
+        prop_assert_eq!(
+            bits(&net.probability_jacobian_at(&pass, t).expect("P-J")),
+            bits(&prob_ref)
+        );
+        let row = Matrix::row_vector(&sample);
+        let logits = net.logits(&row).expect("logits");
+        let pass_logits: Vec<u64> = pass.logits().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(pass_logits, bits(&logits));
+        prop_assert_eq!(pass.predicted_class(), net.predict(&row).expect("predict")[0]);
+    }
+}
+
+#[test]
+fn a_forward_pass_of_another_network_is_rejected() {
+    let small = build(3, &[4], Activation::ReLU, 1);
+    let wide = build(3, &[5], Activation::ReLU, 1);
+    let pass = small.forward_pass(&[0.1, 0.2, 0.3]).expect("forward pass");
+    assert!(wide.input_jacobian_at(&pass).is_err());
+    assert!(wide.probability_jacobian_at(&pass, 1.0).is_err());
+    assert!(small.forward_pass(&[0.1, 0.2]).is_err());
+}

@@ -51,7 +51,7 @@ use crate::reactor::Poller;
 use crate::reload::{load_model, ModelSlot};
 use crate::sentinel::{Sentinel, SentinelConfig, SentinelReport};
 use crate::shard::{self, ShardState};
-use crate::slo::{default_serve_slos, SloReport, SloRuntime};
+use crate::slo::{default_serve_slos, validate_slos, SloReport, SloRuntime};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -389,9 +389,11 @@ impl Drop for ServerHandle {
 ///
 /// # Errors
 ///
-/// Returns the bind error if the address is unavailable, or the error
-/// from creating a shard's poller or threads.
+/// Returns [`std::io::ErrorKind::InvalidInput`] if an SLO window's
+/// `max_burn_rate` is NaN or infinite, the bind error if the address is
+/// unavailable, or the error from creating a shard's poller or threads.
 pub fn spawn(pipeline: DetectorPipeline, config: ServeConfig) -> std::io::Result<ServerHandle> {
+    validate_slos(&config.slos)?;
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let shard_count = config.shards.max(1);

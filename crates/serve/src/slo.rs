@@ -10,6 +10,7 @@
 //! and recovery are visible in the same `trace.jsonl` as the requests
 //! that caused them.
 
+use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -71,6 +72,29 @@ pub fn default_serve_slos() -> Vec<SloSpec> {
             windows,
         },
     ]
+}
+
+/// Checks that every alarm window's burn-rate threshold is finite. A
+/// NaN or infinite threshold makes its window never or always vote to
+/// fire, and `{"cmd": "slo"}` would carry it as `null`, which clients
+/// reject as a protocol error.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidInput`] naming the first offending SLO.
+pub(crate) fn validate_slos(specs: &[SloSpec]) -> io::Result<()> {
+    for spec in specs {
+        if let Some(bad) = spec.windows.iter().find(|w| !w.max_burn_rate.is_finite()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "SLO `{}`: max_burn_rate must be finite, got {}",
+                    spec.name, bad.max_burn_rate
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Evaluates the configured SLOs on demand against the server's

@@ -228,3 +228,20 @@ fn slo_alarm_fires_under_slow_inference_and_stays_silent_when_idle() {
     );
     handle.shutdown();
 }
+
+#[test]
+fn non_finite_slo_burn_rates_are_rejected_at_spawn() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut slos = maleva_serve::default_serve_slos();
+        slos[1].windows[1].max_burn_rate = bad;
+        let config = ServeConfig {
+            slos,
+            ..ServeConfig::default()
+        };
+        let err = spawn(ctx().detector.clone(), config)
+            .err()
+            .unwrap_or_else(|| panic!("max_burn_rate {bad} was accepted"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("error_rate"), "{err}");
+    }
+}

@@ -259,13 +259,13 @@ fn bench_nt_shape(name: &str, ra: usize, c: usize, rb: usize, reps: usize) -> Nt
     let a = test_matrix(ra, c, (ra * 1_000_000 + c * 1000 + rb) as u64);
     let b = test_matrix(rb, c, (rb * 1_000_000 + c) as u64);
     let bt = b.transpose();
-    let blocked = backend::of(BackendKind::Blocked);
-    let nt = blocked.matmul_nt(&a, &b).expect("nt kernel");
+    let pooled = backend::of(BackendKind::Pooled);
+    let nt = pooled.matmul_nt(&a, &b).expect("nt kernel");
     let reference = kernels::matmul_scalar(&a, &bt).expect("scalar kernel");
     let via_matmul = kernels::matmul_blocked(&a, &bt).expect("blocked kernel");
     let identical = bit_identical(&reference, &nt) && bit_identical(&reference, &via_matmul);
 
-    let nt_s = best_secs(reps, || blocked.matmul_nt(&a, &b).expect("nt"));
+    let nt_s = best_secs(reps, || pooled.matmul_nt(&a, &b).expect("nt"));
     let matmul_s = best_secs(reps, || kernels::matmul_blocked(&a, &bt).expect("blocked"));
     let gflops = |secs: f64| 2.0 * (ra * c * rb) as f64 / secs / 1e9;
     NtShapeResult {

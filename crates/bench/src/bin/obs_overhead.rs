@@ -259,7 +259,7 @@ fn slo_idle_loop(with_slo: bool) -> f64 {
         metrics.record_latency(Duration::from_micros(180 + (i & 63)));
         if let Some(slo) = &slo {
             if i % SLO_EVAL_EVERY == 0 {
-                let report = slo.observe_and_evaluate(metrics.registry());
+                let report = slo.observe_and_evaluate(&metrics.registry().snapshot());
                 assert!(
                     report.alarms.iter().all(|a| !a.firing),
                     "healthy stream fired an SLO alarm"

@@ -9,7 +9,7 @@
 //! maleva attack --model detector.json --log sample.log [--theta T] [--gamma G] [--out evaded.log]
 //! maleva info  --model detector.json
 //! maleva serve --model detector.json [--addr HOST:PORT] [--max-batch N]
-//!              [--batch-timeout-ms T] [--queue-cap N] [--cache-cap N]
+//!              [--batch-timeout-ms T] [--cache-cap N]
 //!              [--deadline-ms T] [--shed-depth N] [--faults SPEC]
 //!              [--sentinel off|throttle|poison] [--sentinel-seed N]
 //! maleva blackbox [--scale S] [--seed N] [--queries BUDGET] [--report FILE]
@@ -114,10 +114,9 @@ usage:
                 [--theta T] [--gamma G] [--out evaded.log]
   maleva info   --model detector.json
   maleva serve  --model detector.json [--addr HOST:PORT] [--shards N]
-                [--max-batch N] [--batch-timeout-ms T] [--queue-cap N]
-                [--cache-cap N] [--deadline-ms T] [--shed-depth N]
-                [--faults SPEC] [--sentinel off|throttle|poison]
-                [--sentinel-seed N]
+                [--max-batch N] [--batch-timeout-ms T] [--cache-cap N]
+                [--deadline-ms T] [--shed-depth N] [--faults SPEC]
+                [--sentinel off|throttle|poison] [--sentinel-seed N]
   maleva reload --remote HOST:PORT --model detector.json
   maleva blackbox [--scale tiny|quick|paper] [--seed N] [--attack-seed N]
                 [--queries BUDGET] [--corpus N] [--rounds N] [--overlap F]
@@ -150,7 +149,7 @@ decomposition checks, and the slowest-request exemplars
 
 every command accepts --trace-out FILE (or '-' for stderr) to write
 newline-delimited JSON spans, --threads N (or MALEVA_THREADS) to size
-the linalg worker pool, and --backend scalar|blocked|pooled|simd (or
+the linalg worker pool, and --backend scalar|pooled|simd (or
 MALEVA_BACKEND) to pick the linalg backend every product dispatches
 through — pooled (default) is bit-identical to the scalar reference,
 simd is the fast f32 micro-kernel with a 1e-5 tolerance contract;
@@ -637,7 +636,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             "batch-timeout-ms",
             defaults.batch_timeout.as_millis() as usize,
         )? as u64),
-        queue_capacity: parse_usize("queue-cap", defaults.queue_capacity)?,
         cache_capacity: parse_usize("cache-cap", defaults.cache_capacity)?,
         max_line_bytes: defaults.max_line_bytes,
         request_deadline: std::time::Duration::from_millis(parse_usize(

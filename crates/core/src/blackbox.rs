@@ -565,7 +565,7 @@ mod tests {
         let capped = run(&ctx, &config).unwrap();
         assert!(capped.ledger.total() <= 100, "{:?}", capped.ledger);
         assert!(capped.ledger.total() < unlimited.ledger.total());
-        // Seed labelling is untouched (100 > 60); later phases absorb
+        // Seed labelling is untouched (100 > 60); later phases take
         // the shortfall.
         assert_eq!(capped.ledger.seed, 60);
         assert!(capped.attacked < unlimited.attacked.max(1));

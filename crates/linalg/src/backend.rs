@@ -14,9 +14,8 @@
 //!
 //! 1. [`set_backend`] — programmatic override (the CLI `--backend`
 //!    flags call this), `None` clears it;
-//! 2. the `MALEVA_BACKEND` environment variable (`scalar`, `blocked`,
-//!    `pooled`, `simd`; unparseable values are ignored, like
-//!    `MALEVA_THREADS`);
+//! 2. the `MALEVA_BACKEND` environment variable (`scalar`, `pooled`,
+//!    `simd`; unparseable values are ignored, like `MALEVA_THREADS`);
 //! 3. the default, [`BackendKind::Pooled`] — the seed behavior.
 //!
 //! # Contract
@@ -24,11 +23,10 @@
 //! | backend   | precision | vs scalar reference        | parallel      |
 //! |-----------|-----------|----------------------------|---------------|
 //! | `Scalar`  | f64       | *is* the reference         | never         |
-//! | `Blocked` | f64       | bit-identical              | never         |
 //! | `Pooled`  | f64       | bit-identical              | large matmuls |
 //! | `Simd`    | f32       | ≤ 1e-5 relative tolerance  | large matmuls |
 //!
-//! All four are deterministic: given the same operands (and for
+//! All three are deterministic: given the same operands (and for
 //! `Pooled`/`Simd`, any thread count) they return the same bytes on
 //! every run. The differential proptest suite
 //! (`tests/backend_differential.rs`) pins both columns of the contract.
@@ -84,10 +82,9 @@ pub enum BackendKind {
     /// The plain i-k-j f64 reference kernel — slow, and the definition
     /// of correct for everything else.
     Scalar,
-    /// Cache-blocked f64, single-threaded, bit-identical to `Scalar`.
-    Blocked,
-    /// `Blocked` plus row-partitioned pool dispatch for large matmuls;
-    /// bit-identical to `Scalar` at every thread count. The default.
+    /// Cache-blocked f64 kernels with row-partitioned pool dispatch
+    /// for large matmuls; bit-identical to `Scalar` at every thread
+    /// count. The default.
     Pooled,
     /// f32 panel micro-kernels written to autovectorize; deterministic,
     /// within 1e-5 relative tolerance of `Scalar`.
@@ -96,18 +93,12 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// All selectable kinds, in documentation order.
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Scalar,
-        BackendKind::Blocked,
-        BackendKind::Pooled,
-        BackendKind::Simd,
-    ];
+    pub const ALL: [BackendKind; 3] = [BackendKind::Scalar, BackendKind::Pooled, BackendKind::Simd];
 
     /// The lowercase name `--backend` / `MALEVA_BACKEND` accept.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
-            BackendKind::Blocked => "blocked",
             BackendKind::Pooled => "pooled",
             BackendKind::Simd => "simd",
         }
@@ -126,11 +117,10 @@ impl FromStr for BackendKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Ok(BackendKind::Scalar),
-            "blocked" => Ok(BackendKind::Blocked),
             "pooled" => Ok(BackendKind::Pooled),
             "simd" => Ok(BackendKind::Simd),
             other => Err(format!(
-                "unknown backend `{other}` (expected scalar|blocked|pooled|simd)"
+                "unknown backend `{other}` (expected scalar|pooled|simd)"
             )),
         }
     }
@@ -142,18 +132,16 @@ static BACKEND_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 fn kind_to_tag(kind: BackendKind) -> usize {
     match kind {
         BackendKind::Scalar => 1,
-        BackendKind::Blocked => 2,
-        BackendKind::Pooled => 3,
-        BackendKind::Simd => 4,
+        BackendKind::Pooled => 2,
+        BackendKind::Simd => 3,
     }
 }
 
 fn tag_to_kind(tag: usize) -> Option<BackendKind> {
     match tag {
         1 => Some(BackendKind::Scalar),
-        2 => Some(BackendKind::Blocked),
-        3 => Some(BackendKind::Pooled),
-        4 => Some(BackendKind::Simd),
+        2 => Some(BackendKind::Pooled),
+        3 => Some(BackendKind::Simd),
         _ => None,
     }
 }
@@ -192,7 +180,6 @@ pub fn active() -> &'static dyn LinalgBackend {
 pub fn of(kind: BackendKind) -> &'static dyn LinalgBackend {
     match kind {
         BackendKind::Scalar => &Scalar,
-        BackendKind::Blocked => &Blocked,
         BackendKind::Pooled => &Pooled,
         BackendKind::Simd => &Simd,
     }
@@ -200,7 +187,7 @@ pub fn of(kind: BackendKind) -> &'static dyn LinalgBackend {
 
 /// The f64 reference backend: every product is routed through the
 /// scalar i-k-j kernel (transposes materialized where needed), so its
-/// output *defines* what `Blocked` and `Pooled` must reproduce bitwise.
+/// output *defines* what `Pooled` must reproduce bitwise.
 pub struct Scalar;
 
 impl LinalgBackend for Scalar {
@@ -228,17 +215,27 @@ impl LinalgBackend for Scalar {
     }
 }
 
-/// Cache-blocked f64, always single-threaded. Bit-identical to
-/// [`Scalar`] (proven by the differential suite).
-pub struct Blocked;
+/// The default backend: the cache-blocked f64 kernels, with large
+/// matmuls row-partitioned over the shared pool
+/// ([`pool::parallel_worthwhile`] decides, sized by
+/// [`pool::effective_threads`]). Bit-identical to [`Scalar`] at every
+/// thread count. The transpose-free and gemv products are always
+/// single-threaded (their panel sizes in this workload never reach the
+/// threshold).
+pub struct Pooled;
 
-impl LinalgBackend for Blocked {
+impl LinalgBackend for Pooled {
     fn kind(&self) -> BackendKind {
-        BackendKind::Blocked
+        BackendKind::Pooled
     }
 
     fn matmul(&self, a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-        kernels::matmul_blocked(a, b)
+        let work = a.rows() * a.cols() * b.cols();
+        if pool::parallel_worthwhile(work) {
+            kernels::matmul_pooled(a, b, pool::effective_threads())
+        } else {
+            kernels::matmul_blocked(a, b)
+        }
     }
 
     fn matmul_tn(&self, a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
@@ -274,42 +271,6 @@ impl LinalgBackend for Blocked {
         let mut out = vec![0.0; a.rows()];
         kernels::gemv_into(a.as_slice(), a.rows(), a.cols(), x, &mut out);
         Ok(out)
-    }
-}
-
-/// The default backend: [`Blocked`] kernels, with large matmuls
-/// row-partitioned over the shared pool
-/// ([`pool::parallel_worthwhile`] decides, sized by
-/// [`pool::effective_threads`]). Bit-identical to [`Scalar`] at every
-/// thread count. The transpose-free and gemv products are always
-/// single-threaded (their panel sizes in this workload never reach the
-/// threshold).
-pub struct Pooled;
-
-impl LinalgBackend for Pooled {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Pooled
-    }
-
-    fn matmul(&self, a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let work = a.rows() * a.cols() * b.cols();
-        if pool::parallel_worthwhile(work) {
-            kernels::matmul_pooled(a, b, pool::effective_threads())
-        } else {
-            kernels::matmul_blocked(a, b)
-        }
-    }
-
-    fn matmul_tn(&self, a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-        Blocked.matmul_tn(a, b)
-    }
-
-    fn matmul_nt(&self, a: &Matrix, b: &Matrix) -> Result<Matrix, LinalgError> {
-        Blocked.matmul_nt(a, b)
-    }
-
-    fn gemv(&self, a: &Matrix, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        Blocked.gemv(a, x)
     }
 }
 

@@ -13,9 +13,9 @@
 //! * [`backend`] — the [`LinalgBackend`] trait and the process-wide
 //!   backend selection ([`set_backend`] / `MALEVA_BACKEND`) that
 //!   [`Matrix::matmul`], [`Matrix::matmul_tn`], [`Matrix::matmul_nt`] and
-//!   [`Matrix::gemv`] dispatch through: `scalar`, `blocked`, `pooled`
-//!   (the bit-identical f64 family, `pooled` default) and `simd` (the
-//!   f32 panel micro-kernel, 1e-5-tolerance contract).
+//!   [`Matrix::gemv`] dispatch through: `scalar` and `pooled` (the
+//!   bit-identical f64 pair, `pooled` default) and `simd` (the f32
+//!   panel micro-kernel, 1e-5-tolerance contract).
 //! * [`kernels`] — cache-blocked matmul/GEMV kernels (plus the scalar
 //!   reference they are proven bit-identical to) that the f64 backends
 //!   are built from.

@@ -269,8 +269,8 @@ impl Matrix {
     /// Dispatches through the process-wide [`crate::backend`] selected
     /// by `--backend` / `MALEVA_BACKEND` /
     /// [`backend::set_backend`](crate::backend::set_backend). Under the
-    /// f64 backends (`scalar`, `blocked`, and the default `pooled`,
-    /// which partitions large products across the shared worker pool
+    /// f64 backends (`scalar` and the default `pooled`, which
+    /// partitions large products across the shared worker pool
     /// sized by `MALEVA_THREADS` /
     /// [`pool::set_threads`](crate::pool::set_threads)) each output
     /// element's summation order is fixed (ascending `k`, zero-skip),

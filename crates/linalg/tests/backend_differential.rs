@@ -3,7 +3,7 @@
 //!
 //! The contract being pinned (DESIGN.md §13):
 //!
-//! * `Scalar`, `Blocked`, `Pooled` — **bit-identical** for arbitrary
+//! * `Scalar`, `Pooled` — **bit-identical** for arbitrary
 //!   shapes (including `0xN` and `1x1`), zero-mass elements, and every
 //!   thread count;
 //! * `Simd` — deterministic, and within `1e-5` *relative* tolerance of
@@ -69,10 +69,9 @@ fn assert_within_simd_tol(reference: &Matrix, got: &Matrix, scale: &Matrix, what
 }
 
 /// The f64 backends that must agree with `Scalar` to the bit.
-fn f64_backends() -> [&'static dyn LinalgBackend; 3] {
+fn f64_backends() -> [&'static dyn LinalgBackend; 2] {
     [
         backend::of(BackendKind::Scalar),
-        backend::of(BackendKind::Blocked),
         backend::of(BackendKind::Pooled),
     ]
 }
@@ -281,8 +280,8 @@ fn selection_resolves_override_then_env_then_default() {
     backend::set_backend(None);
 
     // With no override, the env decides (invalid values are ignored)…
-    std::env::set_var("MALEVA_BACKEND", "blocked");
-    assert_eq!(backend::effective_kind(), BackendKind::Blocked);
+    std::env::set_var("MALEVA_BACKEND", "scalar");
+    assert_eq!(backend::effective_kind(), BackendKind::Scalar);
     std::env::set_var("MALEVA_BACKEND", "SIMD");
     assert_eq!(backend::effective_kind(), BackendKind::Simd);
     std::env::set_var("MALEVA_BACKEND", "not-a-backend");

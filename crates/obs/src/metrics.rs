@@ -2,14 +2,20 @@
 //! registry with a Prometheus text-exposition renderer.
 //!
 //! All primitives are lock-free on the record path (relaxed atomics);
-//! the registry only takes a lock on registration and rendering. The
-//! histogram layout is shared with `serve::metrics`: bucket `i` counts
-//! samples in `[2^(i-1), 2^i)` (bucket 0 holds zeros), and samples at
-//! or above the top bucket bound saturate into the last bucket rather
-//! than being dropped.
+//! the registry only takes a lock on registration and capture. A
+//! capture ([`Registry::snapshot`]) is a [`Snapshot`]: every series
+//! with its help text and [`MetricReading`]. Snapshots of several
+//! registries combine with [`merge`], and a snapshot is what renders
+//! and what [`crate::slo`] observes.
+//!
+//! The histogram layout is shared with `serve::metrics`: bucket `i`
+//! counts samples in `[2^(i-1), 2^i)` (bucket 0 holds zeros), and
+//! samples at or above the top bucket bound saturate into the last
+//! bucket rather than being dropped.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// Number of power-of-two histogram buckets.
@@ -181,36 +187,6 @@ impl Histogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Raises this histogram monotonically toward an externally merged
-    /// target distribution: each bucket (and the sum) is bumped by the
-    /// positive delta between `target_buckets` / `target_sum` and the
-    /// current values, and the count grows by the bucket deltas.
-    ///
-    /// This is the aggregation primitive for merge-on-read metrics: an
-    /// aggregate histogram absorbs per-shard snapshots without ever
-    /// double-counting, provided callers serialize their calls (deltas
-    /// are computed read-then-add). Buckets beyond
-    /// [`HISTOGRAM_BUCKETS`] are ignored; a shrinking target is a no-op
-    /// for the affected buckets (monotonic by construction).
-    pub fn raise_to(&self, target_buckets: &[u64], target_sum: u64) {
-        let mut grew = 0u64;
-        for (bucket, &target) in self.buckets.iter().zip(target_buckets) {
-            let current = bucket.load(Ordering::Relaxed);
-            if target > current {
-                bucket.fetch_add(target - current, Ordering::Relaxed);
-                grew += target - current;
-            }
-        }
-        if grew > 0 {
-            self.count.fetch_add(grew, Ordering::Relaxed);
-        }
-        let current_sum = self.sum.load(Ordering::Relaxed);
-        if target_sum > current_sum {
-            self.sum
-                .fetch_add(target_sum - current_sum, Ordering::Relaxed);
-        }
-    }
 }
 
 /// The kind and handle of a registered metric.
@@ -223,8 +199,8 @@ enum Metric {
 
 #[derive(Debug)]
 struct Entry {
-    name: String,
-    help: String,
+    name: Arc<str>,
+    help: Arc<str>,
     metric: Metric,
     /// Whether the help-text-mismatch warning already fired for this
     /// name — re-registration with different help warns once, not per
@@ -232,8 +208,8 @@ struct Entry {
     help_warned: bool,
 }
 
-/// A point-in-time reading of one registered metric, as returned by
-/// [`Registry::read`]. Histograms carry their full power-of-two bucket
+/// A point-in-time reading of one metric, as captured in a
+/// [`Snapshot`]. Histograms carry their full power-of-two bucket
 /// counts so consumers (e.g. the SLO engine in [`crate::slo`]) can
 /// compute threshold-exceedance fractions from window deltas.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,6 +228,138 @@ pub enum MetricReading {
         /// Sum of recorded samples.
         sum: u64,
     },
+}
+
+impl MetricReading {
+    /// Adds `other` into this reading: counters and gauges add,
+    /// histograms add bucket by bucket, count and sum included. A
+    /// reading of another kind is ignored.
+    fn accumulate(&mut self, other: &MetricReading) {
+        match (self, other) {
+            (MetricReading::Counter(into), MetricReading::Counter(from)) => *into += from,
+            (MetricReading::Gauge(into), MetricReading::Gauge(from)) => *into += from,
+            (
+                MetricReading::Histogram {
+                    buckets,
+                    count,
+                    sum,
+                },
+                MetricReading::Histogram {
+                    buckets: from_buckets,
+                    count: from_count,
+                    sum: from_sum,
+                },
+            ) => {
+                for (into, from) in buckets.iter_mut().zip(from_buckets) {
+                    *into += from;
+                }
+                *count += from_count;
+                *sum += from_sum;
+            }
+            _ => {}
+        }
+    }
+}
+
+/// One named series of a [`Snapshot`]: the sanitized name, the help
+/// text rendered as `# HELP` (omitted when empty), and the value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Series {
+    name: Arc<str>,
+    help: Arc<str>,
+    reading: MetricReading,
+}
+
+/// A captured reading of one registry ([`Registry::snapshot`]) or of
+/// several merged ([`merge`]): every series in registration order.
+/// This is what renders to Prometheus text and what the SLO engine
+/// observes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Snapshot {
+    series: Vec<Series>,
+}
+
+impl Snapshot {
+    /// The reading of the series named `name` (after the same
+    /// sanitization registration applies), if captured.
+    pub fn get(&self, name: &str) -> Option<&MetricReading> {
+        let name = sanitize_name(name);
+        self.series
+            .iter()
+            .find(|s| *s.name == *name)
+            .map(|s| &s.reading)
+    }
+
+    /// Renders every series in Prometheus text exposition format
+    /// (`# HELP` / `# TYPE` headers, cumulative histogram buckets with
+    /// `le` labels, `_sum` and `_count` series).
+    pub fn render_prometheus(&self) -> String {
+        let mut out = String::new();
+        for Series {
+            name,
+            help,
+            reading,
+        } in &self.series
+        {
+            match reading {
+                MetricReading::Counter(v) => {
+                    render_header(&mut out, name, help, "counter");
+                    let _ = writeln!(out, "{name} {v}");
+                }
+                MetricReading::Gauge(v) => {
+                    render_header(&mut out, name, help, "gauge");
+                    let _ = writeln!(out, "{name} {v}");
+                }
+                MetricReading::Histogram {
+                    buckets,
+                    count,
+                    sum,
+                } => {
+                    render_header(&mut out, name, help, "histogram");
+                    let mut cumulative = 0u64;
+                    for (i, c) in buckets.iter().enumerate() {
+                        cumulative += c;
+                        // Skip leading all-zero buckets to keep output
+                        // compact, but always render at least the
+                        // occupied range and the +Inf bucket.
+                        if cumulative == 0 && i < HISTOGRAM_BUCKETS - 1 {
+                            continue;
+                        }
+                        if i == HISTOGRAM_BUCKETS - 1 {
+                            break;
+                        }
+                        let _ = writeln!(
+                            out,
+                            "{name}_bucket{{le=\"{}\"}} {cumulative}",
+                            Histogram::bucket_upper(i)
+                        );
+                    }
+                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
+                    let _ = writeln!(out, "{name}_sum {sum}");
+                    let _ = writeln!(out, "{name}_count {count}");
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Combines snapshots into one: a series present in several parts
+/// adds up ([`MetricReading`] kinds must agree; a part whose kind
+/// disagrees with the first is skipped), a series present in one part
+/// passes through, and series keep first-appearance order. Help text
+/// is the first part's.
+pub fn merge<'a>(parts: impl IntoIterator<Item = &'a Snapshot>) -> Snapshot {
+    let mut out = Snapshot::default();
+    for part in parts {
+        for series in &part.series {
+            match out.series.iter_mut().find(|s| s.name == series.name) {
+                Some(into) => into.reading.accumulate(&series.reading),
+                None => out.series.push(series.clone()),
+            }
+        }
+    }
+    out
 }
 
 /// A named collection of metrics that renders to Prometheus text
@@ -322,15 +430,12 @@ impl Registry {
         downcast: impl Fn(&Metric) -> Option<Arc<T>>,
     ) -> Option<Arc<T>> {
         let name = sanitize_name(name);
-        let mut entries = match self.entries.lock() {
-            Ok(e) => e,
-            Err(p) => p.into_inner(),
-        };
-        if let Some(entry) = entries.iter_mut().find(|e| e.name == name) {
+        let mut entries = self.lock();
+        if let Some(entry) = entries.iter_mut().find(|e| *e.name == *name) {
             // Same name, different help: almost always a programming
             // error (two call sites disagreeing about what the series
             // means). Keep the first help string but say so — once.
-            if entry.help != help && !entry.help_warned {
+            if *entry.help != *help && !entry.help_warned {
                 entry.help_warned = true;
                 eprintln!(
                     "maleva-obs: metric `{name}` re-registered with different help \
@@ -343,90 +448,57 @@ impl Registry {
         let metric = make();
         let handle = downcast(&metric);
         entries.push(Entry {
-            name,
-            help: help.to_string(),
+            name: name.into(),
+            help: help.into(),
             metric,
             help_warned: false,
         });
         handle
     }
 
-    /// Reads the current value of the metric registered under `name`
-    /// (after the same sanitization registration applies). Returns
-    /// `None` for unknown names.
-    pub fn read(&self, name: &str) -> Option<MetricReading> {
-        let name = sanitize_name(name);
-        let entries = match self.entries.lock() {
-            Ok(e) => e,
-            Err(p) => p.into_inner(),
-        };
-        let entry = entries.iter().find(|e| e.name == name)?;
-        Some(match &entry.metric {
-            Metric::Counter(c) => MetricReading::Counter(c.get()),
-            Metric::Gauge(g) => MetricReading::Gauge(g.get()),
-            Metric::Histogram(h) => MetricReading::Histogram {
-                buckets: h.snapshot_buckets(),
-                count: h.count(),
-                sum: h.sum(),
-            },
-        })
+    /// Captures every registered metric, in registration order. One
+    /// lock, one load per atomic, no string copies.
+    pub fn snapshot(&self) -> Snapshot {
+        let entries = self.lock();
+        Snapshot {
+            series: entries
+                .iter()
+                .map(|e| Series {
+                    name: Arc::clone(&e.name),
+                    help: Arc::clone(&e.help),
+                    reading: match &e.metric {
+                        Metric::Counter(c) => MetricReading::Counter(c.get()),
+                        Metric::Gauge(g) => MetricReading::Gauge(g.get()),
+                        Metric::Histogram(h) => MetricReading::Histogram {
+                            buckets: h.snapshot_buckets(),
+                            count: h.count(),
+                            sum: h.sum(),
+                        },
+                    },
+                })
+                .collect(),
+        }
     }
 
     /// Renders every registered metric in Prometheus text exposition
-    /// format (`# HELP` / `# TYPE` headers, cumulative histogram
-    /// buckets with `le` labels, `_sum` and `_count` series).
+    /// format: [`Registry::snapshot`] then [`Snapshot::render_prometheus`].
     pub fn render_prometheus(&self) -> String {
-        let entries = match self.entries.lock() {
+        self.snapshot().render_prometheus()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Entry>> {
+        match self.entries.lock() {
             Ok(e) => e,
             Err(p) => p.into_inner(),
-        };
-        let mut out = String::new();
-        for entry in entries.iter() {
-            let name = &entry.name;
-            match &entry.metric {
-                Metric::Counter(c) => {
-                    render_header(&mut out, name, &entry.help, "counter");
-                    out.push_str(&format!("{name} {}\n", c.get()));
-                }
-                Metric::Gauge(g) => {
-                    render_header(&mut out, name, &entry.help, "gauge");
-                    out.push_str(&format!("{name} {}\n", g.get()));
-                }
-                Metric::Histogram(h) => {
-                    render_header(&mut out, name, &entry.help, "histogram");
-                    let buckets = h.snapshot_buckets();
-                    let mut cumulative = 0u64;
-                    for (i, c) in buckets.iter().enumerate() {
-                        cumulative += c;
-                        // Skip leading all-zero buckets to keep output
-                        // compact, but always render at least the
-                        // occupied range and the +Inf bucket.
-                        if cumulative == 0 && i < HISTOGRAM_BUCKETS - 1 {
-                            continue;
-                        }
-                        if i == HISTOGRAM_BUCKETS - 1 {
-                            break;
-                        }
-                        out.push_str(&format!(
-                            "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                            Histogram::bucket_upper(i)
-                        ));
-                    }
-                    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-                    out.push_str(&format!("{name}_sum {}\n", h.sum()));
-                    out.push_str(&format!("{name}_count {}\n", h.count()));
-                }
-            }
         }
-        out
     }
 }
 
 fn render_header(out: &mut String, name: &str, help: &str, kind: &str) {
     if !help.is_empty() {
-        out.push_str(&format!("# HELP {name} {}\n", escape_help(help)));
+        let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
     }
-    out.push_str(&format!("# TYPE {name} {kind}\n"));
+    let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
 /// Escapes help text for the exposition format: `\` and newlines would
@@ -540,24 +612,39 @@ mod tests {
     }
 
     #[test]
-    fn raise_to_is_monotonic_and_idempotent() {
-        let h = Histogram::new();
-        h.record(1);
-        let mut target = h.snapshot_buckets();
-        target[4] = 3; // three samples in [8, 16)
-        h.raise_to(&target, 1 + 3 * 8);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 25);
-        assert_eq!(h.snapshot_buckets()[4], 3);
-        // Re-applying the same target changes nothing.
-        h.raise_to(&target, 25);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 25);
-        // A shrinking target is ignored per bucket.
-        target[4] = 1;
-        h.raise_to(&target, 10);
-        assert_eq!(h.snapshot_buckets()[4], 3);
-        assert_eq!(h.sum(), 25);
+    fn merge_adds_series_and_keeps_first_appearance_order() {
+        let a = Registry::new();
+        a.counter("reqs_total", "Requests.").add(3);
+        a.gauge("depth", "Depth.").set(-2);
+        let h = a.histogram("lat_us", "Latency.");
+        h.record(5);
+        h.record(9);
+        let b = Registry::new();
+        b.counter("only_b_total", "Only in b.").add(7);
+        b.histogram("lat_us", "Latency.").record(6);
+        b.gauge("depth", "Depth.").set(5);
+        b.counter("reqs_total", "Requests.").add(4);
+
+        let merged = merge([&a.snapshot(), &b.snapshot()]);
+        let names: Vec<&str> = merged.series.iter().map(|s| &*s.name).collect();
+        assert_eq!(names, ["reqs_total", "depth", "lat_us", "only_b_total"]);
+        assert_eq!(merged.get("reqs_total"), Some(&MetricReading::Counter(7)));
+        assert_eq!(merged.get("depth"), Some(&MetricReading::Gauge(3)));
+        assert_eq!(merged.get("only_b_total"), Some(&MetricReading::Counter(7)));
+        let mut buckets = vec![0; HISTOGRAM_BUCKETS];
+        buckets[3] = 2; // 5 and 6 in [4, 8)
+        buckets[4] = 1; // 9 in [8, 16)
+        assert_eq!(
+            merged.get("lat_us"),
+            Some(&MetricReading::Histogram {
+                buckets,
+                count: 3,
+                sum: 20,
+            })
+        );
+        // Merging one part, or none, changes nothing.
+        assert_eq!(merge([&a.snapshot()]), a.snapshot());
+        assert_eq!(merge([]), Snapshot::default());
     }
 
     #[test]
@@ -630,16 +717,17 @@ mod tests {
         let h = r.histogram("lat_us", "Latency.");
         h.record(5);
         h.record(9);
-        assert_eq!(r.read("reads_total"), Some(MetricReading::Counter(3)));
-        assert_eq!(r.read("depth"), Some(MetricReading::Gauge(-2)));
-        match r.read("lat_us") {
+        let snap = r.snapshot();
+        assert_eq!(snap.get("reads_total"), Some(&MetricReading::Counter(3)));
+        assert_eq!(snap.get("depth"), Some(&MetricReading::Gauge(-2)));
+        match snap.get("lat_us") {
             Some(MetricReading::Histogram {
                 buckets,
                 count,
                 sum,
             }) => {
-                assert_eq!(count, 2);
-                assert_eq!(sum, 14);
+                assert_eq!(*count, 2);
+                assert_eq!(*sum, 14);
                 assert_eq!(buckets.len(), HISTOGRAM_BUCKETS);
                 assert_eq!(buckets[3], 1); // 5 in [4, 8)
                 assert_eq!(buckets[4], 1); // 9 in [8, 16)
@@ -648,9 +736,12 @@ mod tests {
         }
         // Dotted names resolve through the same sanitization as
         // registration did.
-        assert_eq!(r.read("missing"), None);
+        assert_eq!(snap.get("missing"), None);
         r.counter("dotted.name_total", "Dotted.").inc();
-        assert_eq!(r.read("dotted.name_total"), Some(MetricReading::Counter(1)));
+        assert_eq!(
+            r.snapshot().get("dotted.name_total"),
+            Some(&MetricReading::Counter(1))
+        );
     }
 
     #[test]

@@ -659,7 +659,7 @@ mod tests {
         assert!(stage_sum_within_tolerance(1000, 400));
         // Two buckets off: not fine.
         assert!(!stage_sum_within_tolerance(1000, 200));
-        // Sub-bucket truncation noise at the tiny end is absorbed.
+        // Sub-bucket truncation noise at the tiny end is tolerated.
         assert!(stage_sum_within_tolerance(6, 0));
         assert!(!stage_sum_within_tolerance(600, 0));
     }

@@ -1,11 +1,11 @@
 //! Declarative SLOs evaluated as multi-window burn-rate alarms over
-//! [`Registry`] snapshots.
+//! metric [`Snapshot`]s.
 //!
 //! An [`SloSpec`] names an objective over registered metrics — a
 //! latency histogram with a threshold, or a ratio of two counters —
 //! together with a target good-fraction and a set of
-//! [`BurnWindow`]s. The [`SloEngine`] is fed timestamped registry
-//! snapshots via [`SloEngine::observe`] and answers
+//! [`BurnWindow`]s. The [`SloEngine`] is fed timestamped snapshots
+//! via [`SloEngine::observe`] and answers
 //! [`SloEngine::evaluate`] with per-spec alarm states.
 //!
 //! **Burn rate** follows the SRE-workbook convention: with an error
@@ -26,10 +26,9 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use crate::metrics::{Histogram, MetricReading, Registry};
+use crate::metrics::{Histogram, MetricReading, Snapshot};
 
-/// What an SLO measures, in terms of metrics registered in a
-/// [`Registry`].
+/// What an SLO measures, in terms of metric series in a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Objective {
     /// Fraction of histogram samples whose (power-of-two quantized)
@@ -86,9 +85,9 @@ struct Sample {
     total: u64,
 }
 
-/// One timestamped registry snapshot: a [`Sample`] per spec.
+/// One timestamped observation: a [`Sample`] per spec.
 #[derive(Debug, Clone)]
-struct Snapshot {
+struct Observation {
     at: Duration,
     samples: Vec<Sample>,
 }
@@ -127,12 +126,11 @@ pub struct SloStatus {
     pub windows: Vec<WindowStatus>,
 }
 
-/// Evaluates a set of [`SloSpec`]s over timestamped registry
-/// snapshots.
+/// Evaluates a set of [`SloSpec`]s over timestamped metric snapshots.
 #[derive(Debug)]
 pub struct SloEngine {
     specs: Vec<SloSpec>,
-    snapshots: VecDeque<Snapshot>,
+    snapshots: VecDeque<Observation>,
     /// Longest configured window, for snapshot retention.
     max_window: Duration,
     /// Previous firing state per spec, for transition detection.
@@ -164,11 +162,11 @@ impl SloEngine {
         &self.specs
     }
 
-    /// Takes a snapshot of every objective's cumulative counts at
+    /// Records every objective's cumulative counts in `capture` at
     /// caller-supplied instant `at` (monotone across calls; a
     /// non-monotone timestamp is ignored rather than corrupting the
     /// history).
-    pub fn observe(&mut self, at: Duration, registry: &Registry) {
+    pub fn observe(&mut self, at: Duration, capture: &Snapshot) {
         if let Some(last) = self.snapshots.back() {
             if at < last.at {
                 return;
@@ -177,9 +175,9 @@ impl SloEngine {
         let samples = self
             .specs
             .iter()
-            .map(|spec| sample_objective(&spec.objective, registry))
+            .map(|spec| sample_objective(&spec.objective, capture))
             .collect();
-        self.snapshots.push_back(Snapshot { at, samples });
+        self.snapshots.push_back(Observation { at, samples });
         // Retain one snapshot at or beyond the longest window boundary
         // so that window stays covered; drop everything older.
         let cutoff = at.saturating_sub(self.max_window);
@@ -245,15 +243,15 @@ impl SloEngine {
     }
 }
 
-/// Reads one objective's cumulative (bad, total) counts from the
-/// registry. Missing or kind-mismatched metrics read as all-zero (the
+/// Reads one objective's cumulative (bad, total) counts from a
+/// capture. Missing or kind-mismatched metrics read as all-zero (the
 /// alarm stays silent rather than panicking inside a serving loop).
-fn sample_objective(objective: &Objective, registry: &Registry) -> Sample {
+fn sample_objective(objective: &Objective, capture: &Snapshot) -> Sample {
     match objective {
         Objective::LatencyAbove {
             histogram,
             threshold_us,
-        } => match registry.read(histogram) {
+        } => match capture.get(histogram) {
             Some(MetricReading::Histogram { buckets, count, .. }) => {
                 let bad = buckets
                     .iter()
@@ -261,7 +259,7 @@ fn sample_objective(objective: &Objective, registry: &Registry) -> Sample {
                     .filter(|(i, _)| Histogram::bucket_upper(*i) > *threshold_us)
                     .map(|(_, c)| *c)
                     .sum();
-                Sample { bad, total: count }
+                Sample { bad, total: *count }
             }
             _ => Sample { bad: 0, total: 0 },
         },
@@ -269,8 +267,8 @@ fn sample_objective(objective: &Objective, registry: &Registry) -> Sample {
             numerator,
             denominator,
         } => {
-            let read_counter = |name: &str| match registry.read(name) {
-                Some(MetricReading::Counter(v)) => v,
+            let read_counter = |name: &str| match capture.get(name) {
+                Some(MetricReading::Counter(v)) => *v,
                 _ => 0,
             };
             Sample {
@@ -284,6 +282,7 @@ fn sample_objective(objective: &Objective, registry: &Registry) -> Sample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Registry;
 
     fn secs(s: u64) -> Duration {
         Duration::from_secs(s)
@@ -333,9 +332,9 @@ mod tests {
             h.record(1_000_000); // every sample terrible
         }
         let mut engine = SloEngine::new(vec![p99_spec(10_000)]);
-        engine.observe(secs(0), &r);
+        engine.observe(secs(0), &r.snapshot());
         // Only 10s of history against 60s/300s windows: silent.
-        engine.observe(secs(10), &r);
+        engine.observe(secs(10), &r.snapshot());
         let st = &engine.evaluate(secs(10))[0];
         assert!(!st.firing);
         assert!(st.windows.iter().all(|w| !w.covered));
@@ -346,13 +345,13 @@ mod tests {
         let r = Registry::new();
         let h = r.histogram("latency_us", "Latency.");
         let mut engine = SloEngine::new(vec![p99_spec(10_000)]);
-        engine.observe(secs(0), &r);
+        engine.observe(secs(0), &r.snapshot());
         // 400s of all-bad traffic, snapshotted every 100s.
         for t in 1..=4u64 {
             for _ in 0..100 {
                 h.record(1_000_000);
             }
-            engine.observe(secs(t * 100), &r);
+            engine.observe(secs(t * 100), &r.snapshot());
         }
         let st = engine.evaluate(secs(400)).remove(0);
         assert!(st.firing, "{st:?}");
@@ -364,7 +363,7 @@ mod tests {
             for _ in 0..1000 {
                 h.record(100); // fast
             }
-            engine.observe(secs(t * 100), &r);
+            engine.observe(secs(t * 100), &r.snapshot());
         }
         let st = engine.evaluate(secs(1000)).remove(0);
         assert!(!st.firing, "{st:?}");
@@ -379,19 +378,19 @@ mod tests {
         let h = r.histogram("latency_us", "Latency.");
         let mut engine = SloEngine::new(vec![p99_spec(10_000)]);
         // 300s of healthy traffic to cover both windows.
-        engine.observe(secs(0), &r);
+        engine.observe(secs(0), &r.snapshot());
         for t in 1..=6u64 {
             for _ in 0..2000 {
                 h.record(100);
             }
-            engine.observe(secs(t * 50), &r);
+            engine.observe(secs(t * 50), &r.snapshot());
         }
         // A 50s blip of bad samples: the 60s window burns hot, but the
         // 300s window is diluted by the healthy majority.
         for _ in 0..300 {
             h.record(1_000_000);
         }
-        engine.observe(secs(350), &r);
+        engine.observe(secs(350), &r.snapshot());
         let st = engine.evaluate(secs(350)).remove(0);
         assert!(!st.firing, "{st:?}");
         assert!(st.windows[0].burn_rate > 10.0, "{st:?}");
@@ -404,15 +403,15 @@ mod tests {
         let errors = r.counter("errors_total", "Errors.");
         let requests = r.counter("requests_total", "Requests.");
         let mut engine = SloEngine::new(vec![error_spec()]);
-        engine.observe(secs(0), &r);
+        engine.observe(secs(0), &r.snapshot());
         requests.add(1000);
-        engine.observe(secs(60), &r);
+        engine.observe(secs(60), &r.snapshot());
         let st = engine.evaluate(secs(60)).remove(0);
         assert!(!st.firing, "no errors: {st:?}");
         // 5% errors against a 0.1% budget: burn rate 50 >> 5.
         requests.add(1000);
         errors.add(50);
-        engine.observe(secs(120), &r);
+        engine.observe(secs(120), &r.snapshot());
         let st = engine.evaluate(secs(120)).remove(0);
         assert!(st.firing, "{st:?}");
         assert!((st.windows[0].burn_rate - 50.0).abs() < 1.0, "{st:?}");
@@ -422,8 +421,8 @@ mod tests {
     fn missing_metrics_read_as_silent() {
         let r = Registry::new();
         let mut engine = SloEngine::new(vec![p99_spec(10_000), error_spec()]);
-        engine.observe(secs(0), &r);
-        engine.observe(secs(1000), &r);
+        engine.observe(secs(0), &r.snapshot());
+        engine.observe(secs(1000), &r.snapshot());
         let statuses = engine.evaluate(secs(1000));
         assert!(statuses.iter().all(|s| !s.firing), "{statuses:?}");
     }
@@ -434,7 +433,7 @@ mod tests {
         r.histogram("latency_us", "Latency.");
         let mut engine = SloEngine::new(vec![p99_spec(10_000)]);
         for t in 0..100u64 {
-            engine.observe(secs(t * 10), &r);
+            engine.observe(secs(t * 10), &r.snapshot());
         }
         // Longest window is 300s @ 10s cadence → ~31 snapshots suffice.
         assert!(
@@ -452,9 +451,9 @@ mod tests {
         let r = Registry::new();
         let h = r.histogram("latency_us", "Latency.");
         let mut engine = SloEngine::new(vec![p99_spec(10_000)]);
-        engine.observe(secs(100), &r);
+        engine.observe(secs(100), &r.snapshot());
         h.record(1_000_000);
-        engine.observe(secs(50), &r); // ignored
+        engine.observe(secs(50), &r.snapshot()); // ignored
         assert_eq!(engine.snapshots.len(), 1);
     }
 
@@ -465,10 +464,10 @@ mod tests {
         // 900us lands in bucket [512, 1024): upper bound 1024.
         h.record(900);
         let spec = p99_spec(1024); // threshold == upper bound → good
-        let s = sample_objective(&spec.objective, &r);
+        let s = sample_objective(&spec.objective, &r.snapshot());
         assert_eq!((s.bad, s.total), (0, 1));
         let spec = p99_spec(1023); // upper bound exceeds → bad
-        let s = sample_objective(&spec.objective, &r);
+        let s = sample_objective(&spec.objective, &r.snapshot());
         assert_eq!((s.bad, s.total), (1, 1));
     }
 }

@@ -43,10 +43,10 @@ pub enum ServeError {
         /// The configured limit in bytes.
         limit: usize,
     },
-    /// The scoring queue is full (or admission control shed the
-    /// request); the client should back off and retry.
+    /// Admission control shed the request: the scoring queue is at its
+    /// bound. The client should back off and retry.
     Overloaded {
-        /// The queue's bounded capacity.
+        /// The queue bound (`ServeConfig::shed_queue_depth`).
         capacity: usize,
         /// Server-suggested wait before retrying, in milliseconds,
         /// scaled to the current queue depth.

@@ -10,7 +10,7 @@
 //! * **sharded event loops** ([`reactor`]) — `ServeConfig::shards`
 //!   independent poll-based event loops, with connections pinned to a
 //!   shard by accept round-robin; each shard owns its own batch queue,
-//!   LRU cache, sentinel window, and metrics, merged on demand for
+//!   LRU cache, sentinel window, and metrics, merged on read for
 //!   `{"cmd": "stats"}` and the Prometheus exposition so the hot path
 //!   never contends across shards;
 //! * **micro-batching** ([`batch`]) — requests queue into a bounded
@@ -26,12 +26,12 @@
 //!   attributable to exactly one generation;
 //! * **LRU score cache** ([`cache`]) — keyed by the quantized feature
 //!   vector, answering repeats without touching the network;
-//! * **backpressure** — a full queue yields a typed
-//!   [`ServeError::Overloaded`] response instead of blocking, and
-//!   shutdown drains in-flight work before stopping;
+//! * **backpressure** — a queue at its `shed_queue_depth` bound sheds
+//!   new misses with a typed [`ServeError::Overloaded`] response and a
+//!   `retry_after_ms` hint instead of blocking, and shutdown drains
+//!   in-flight work before stopping;
 //! * **resilience** ([`fault`]) — per-request deadlines
-//!   (`deadline_exceeded`), admission control that sheds load by queue
-//!   depth with a `retry_after_ms` hint, a panic-isolated scorer loop
+//!   (`deadline_exceeded`), a panic-isolated scorer loop
 //!   ([`batch::score_rows_isolated`]), a `{"cmd": "health"}` endpoint,
 //!   and a deterministic seedable fault injector (`MALEVA_FAULTS`)
 //!   driving the chaos soak tests;

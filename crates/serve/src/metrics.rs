@@ -1,7 +1,10 @@
 //! Service metrics built on the shared `maleva-obs` primitives: lock-free
 //! counters plus power-of-two histograms for request latency and batch
-//! size, registered in a per-server [`Registry`] that renders to
-//! Prometheus text exposition for the `{"cmd": "metrics"}` command.
+//! size, registered in a per-shard [`Registry`]. A read captures each
+//! shard's registry, merges the captures with
+//! [`maleva_obs::metrics::merge`], and renders the merge as Prometheus
+//! text for `{"cmd": "metrics"}`; [`summarize`] reads the `stats` view
+//! of a capture.
 //!
 //! Every counter is a relaxed atomic — the snapshot is advisory
 //! monitoring data, not a synchronization point, so the hot path pays
@@ -15,11 +18,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use maleva_obs::metrics::{Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS};
+use maleva_obs::metrics::{
+    Counter, Gauge, Histogram, MetricReading, Registry, Snapshot, HISTOGRAM_BUCKETS,
+};
 pub use maleva_wire::MetricsSnapshot;
 
-/// Shared metrics for one server instance. Each server owns its own
-/// [`Registry`] so concurrent servers in one process never collide.
+/// The metrics of one shard, in a [`Registry`] of their own so shards
+/// (and concurrent servers in one process) never collide.
 #[derive(Debug)]
 pub struct Metrics {
     registry: Registry,
@@ -65,7 +70,8 @@ pub struct Metrics {
     pub sentinel_tracked_clients: Arc<Gauge>,
     /// Jobs currently waiting in the scoring queue.
     pub queue_depth: Arc<Gauge>,
-    cache_entries: Arc<Gauge>,
+    /// Live score-cache entries, set right before each capture.
+    pub cache_entries: Arc<Gauge>,
     latency_us: Arc<Histogram>,
     batch_size: Arc<Histogram>,
     /// Per-stage latency histograms, in pipeline order:
@@ -213,8 +219,7 @@ impl Metrics {
         }
     }
 
-    /// The registry backing this server's metrics, for SLO evaluation
-    /// and auxiliary gauges (`slo_alarm_*`).
+    /// The registry behind these metrics, for captures.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -237,199 +242,92 @@ impl Metrics {
     pub fn record_batch_size(&self, rows: u64) {
         self.batch_size.record(rows);
     }
-
-    /// Renders every metric in Prometheus text exposition format,
-    /// refreshing the cache-entries gauge first.
-    pub fn render_prometheus(&self, cache_entries: usize) -> String {
-        self.cache_entries
-            .set(cache_entries.min(i64::MAX as usize) as i64);
-        self.registry.render_prometheus()
-    }
-
-    /// Takes a consistent-enough snapshot of all counters.
-    pub fn snapshot(&self, cache_entries: usize) -> MetricsSnapshot {
-        let requests = self.requests.get();
-        let batches = self.batches.get();
-        let rows_scored = self.rows_scored.get();
-        let cache_hits = self.cache_hits.get();
-        let cache_misses = self.cache_misses.get();
-        let lookups = cache_hits + cache_misses;
-        MetricsSnapshot {
-            requests,
-            batches,
-            rows_scored,
-            cache_hits,
-            cache_misses,
-            cache_hit_rate: if lookups == 0 {
-                0.0
-            } else {
-                cache_hits as f64 / lookups as f64
-            },
-            cache_entries,
-            errors: self.errors.get(),
-            overloaded: self.overloaded.get(),
-            shed: self.shed.get(),
-            deadline_exceeded: self.deadline_exceeded.get(),
-            scorer_panics: self.scorer_panics.get(),
-            row_failures: self.row_failures.get(),
-            faults_injected: self.faults_injected.get(),
-            sentinel_throttled: self.sentinel_throttled.get(),
-            sentinel_poisoned: self.sentinel_poisoned.get(),
-            sentinel_near_duplicates: self.sentinel_near_duplicates.get(),
-            sentinel_verdict_flips: self.sentinel_verdict_flips.get(),
-            sentinel_flagged: self.sentinel_flagged.get(),
-            sentinel_tracked_clients: self.sentinel_tracked_clients.get().max(0) as u64,
-            queue_depth: self.queue_depth.get().max(0) as u64,
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                rows_scored as f64 / batches as f64
-            },
-            p50_latency_us: self.latency_us.quantile(0.50),
-            p99_latency_us: self.latency_us.quantile(0.99),
-            latency_buckets_us: self.latency_us.snapshot_buckets(),
-            batch_size_buckets: self.batch_size.snapshot_buckets(),
-            latency_sum_us: self.latency_us.sum(),
-            batch_size_sum: self.batch_size.sum(),
-            stage_buckets_us: self
-                .stages_us
-                .iter()
-                .map(|h| h.snapshot_buckets())
-                .collect(),
-            stage_sums_us: self.stages_us.iter().map(|h| h.sum()).collect(),
-        }
-    }
-
-    /// Raises this instance's counters, gauges, and histograms to match
-    /// a merged snapshot. This is how the aggregate registry (backing
-    /// the Prometheus exposition and the SLO runtime) absorbs per-shard
-    /// totals without double-counting: counters and histogram buckets
-    /// only ever grow toward the merged target, gauges are set
-    /// directly. Callers serialize absorb() calls (the server does,
-    /// under its refresh lock).
-    pub fn absorb(&self, merged: &MetricsSnapshot) {
-        fn raise(counter: &Counter, target: u64) {
-            let current = counter.get();
-            if target > current {
-                counter.add(target - current);
-            }
-        }
-        raise(&self.requests, merged.requests);
-        raise(&self.batches, merged.batches);
-        raise(&self.rows_scored, merged.rows_scored);
-        raise(&self.cache_hits, merged.cache_hits);
-        raise(&self.cache_misses, merged.cache_misses);
-        raise(&self.errors, merged.errors);
-        raise(&self.overloaded, merged.overloaded);
-        raise(&self.shed, merged.shed);
-        raise(&self.deadline_exceeded, merged.deadline_exceeded);
-        raise(&self.scorer_panics, merged.scorer_panics);
-        raise(&self.row_failures, merged.row_failures);
-        raise(&self.faults_injected, merged.faults_injected);
-        raise(&self.sentinel_throttled, merged.sentinel_throttled);
-        raise(&self.sentinel_poisoned, merged.sentinel_poisoned);
-        raise(
-            &self.sentinel_near_duplicates,
-            merged.sentinel_near_duplicates,
-        );
-        raise(&self.sentinel_verdict_flips, merged.sentinel_verdict_flips);
-        raise(&self.sentinel_flagged, merged.sentinel_flagged);
-        self.sentinel_tracked_clients
-            .set(merged.sentinel_tracked_clients.min(i64::MAX as u64) as i64);
-        self.queue_depth
-            .set(merged.queue_depth.min(i64::MAX as u64) as i64);
-        self.cache_entries
-            .set(merged.cache_entries.min(i64::MAX as usize) as i64);
-        self.latency_us
-            .raise_to(&merged.latency_buckets_us, merged.latency_sum_us);
-        self.batch_size
-            .raise_to(&merged.batch_size_buckets, merged.batch_size_sum);
-        for (histogram, (buckets, sum)) in self
-            .stages_us
-            .iter()
-            .zip(merged.stage_buckets_us.iter().zip(&merged.stage_sums_us))
-        {
-            histogram.raise_to(buckets, *sum);
-        }
-    }
 }
 
-/// Merges per-shard snapshots into one server-wide snapshot: counters,
-/// gauges, sums, and buckets add element-wise; derived rates and
-/// percentiles are recomputed from the merged totals. Because every
-/// input is itself one coherent snapshot, the merged counters always
-/// equal the per-shard sums — the wire's `stats` body and its `shards`
-/// array can never disagree.
-pub fn merge(shards: &[MetricsSnapshot]) -> MetricsSnapshot {
-    let mut out = MetricsSnapshot {
-        latency_buckets_us: vec![0; HISTOGRAM_BUCKETS],
-        batch_size_buckets: vec![0; HISTOGRAM_BUCKETS],
-        stage_buckets_us: vec![vec![0; HISTOGRAM_BUCKETS]; 6],
-        stage_sums_us: vec![0; 6],
-        ..MetricsSnapshot::default()
+/// Reads the `stats` view of a capture of one or more (merged)
+/// [`Metrics`] registries. Counters, gauges, buckets, and sums are the
+/// captured series; the hit rate, mean batch size, and percentiles are
+/// derived from them. A missing series reads as zero.
+pub fn summarize(capture: &Snapshot) -> MetricsSnapshot {
+    let counter = |name: &str| match capture.get(name) {
+        Some(MetricReading::Counter(v)) => *v,
+        _ => 0,
     };
-    fn add_buckets(into: &mut [u64], from: &[u64]) {
-        for (dst, src) in into.iter_mut().zip(from) {
-            *dst += src;
-        }
+    let gauge = |name: &str| match capture.get(name) {
+        Some(MetricReading::Gauge(v)) => (*v).max(0) as u64,
+        _ => 0,
+    };
+    let histogram = |name: &str| match capture.get(name) {
+        Some(MetricReading::Histogram { buckets, sum, .. }) => (buckets.clone(), *sum),
+        _ => (vec![0; HISTOGRAM_BUCKETS], 0),
+    };
+    let requests = counter("serve_requests_total");
+    let batches = counter("serve_batches_total");
+    let rows_scored = counter("serve_rows_scored_total");
+    let cache_hits = counter("serve_cache_hits_total");
+    let cache_misses = counter("serve_cache_misses_total");
+    let lookups = cache_hits + cache_misses;
+    let (latency_buckets_us, latency_sum_us) = histogram("serve_request_latency_us");
+    let (batch_size_buckets, batch_size_sum) = histogram("serve_batch_size");
+    let (stage_buckets_us, stage_sums_us) = maleva_obs::report::STAGES
+        .iter()
+        .map(|stage| histogram(&format!("serve_stage_{stage}_us")))
+        .unzip();
+    MetricsSnapshot {
+        requests,
+        batches,
+        rows_scored,
+        cache_hits,
+        cache_misses,
+        cache_hit_rate: if lookups == 0 {
+            0.0
+        } else {
+            cache_hits as f64 / lookups as f64
+        },
+        cache_entries: gauge("serve_cache_entries") as usize,
+        errors: counter("serve_errors_total"),
+        overloaded: counter("serve_overloaded_total"),
+        shed: counter("serve_shed_total"),
+        deadline_exceeded: counter("serve_deadline_exceeded_total"),
+        scorer_panics: counter("serve_scorer_panics_total"),
+        row_failures: counter("serve_row_failures_total"),
+        faults_injected: counter("serve_faults_injected_total"),
+        sentinel_throttled: counter("serve_sentinel_throttled_total"),
+        sentinel_poisoned: counter("serve_sentinel_poisoned_total"),
+        sentinel_near_duplicates: counter("serve_sentinel_near_duplicates_total"),
+        sentinel_verdict_flips: counter("serve_sentinel_verdict_flips_total"),
+        sentinel_flagged: counter("serve_sentinel_flagged_total"),
+        sentinel_tracked_clients: gauge("serve_sentinel_tracked_clients"),
+        queue_depth: gauge("serve_queue_depth"),
+        mean_batch_size: if batches == 0 {
+            0.0
+        } else {
+            rows_scored as f64 / batches as f64
+        },
+        p50_latency_us: Histogram::quantile_of_buckets(&latency_buckets_us, 0.50),
+        p99_latency_us: Histogram::quantile_of_buckets(&latency_buckets_us, 0.99),
+        latency_buckets_us,
+        batch_size_buckets,
+        latency_sum_us,
+        batch_size_sum,
+        stage_buckets_us,
+        stage_sums_us,
     }
-    for s in shards {
-        out.requests += s.requests;
-        out.batches += s.batches;
-        out.rows_scored += s.rows_scored;
-        out.cache_hits += s.cache_hits;
-        out.cache_misses += s.cache_misses;
-        out.cache_entries += s.cache_entries;
-        out.errors += s.errors;
-        out.overloaded += s.overloaded;
-        out.shed += s.shed;
-        out.deadline_exceeded += s.deadline_exceeded;
-        out.scorer_panics += s.scorer_panics;
-        out.row_failures += s.row_failures;
-        out.faults_injected += s.faults_injected;
-        out.sentinel_throttled += s.sentinel_throttled;
-        out.sentinel_poisoned += s.sentinel_poisoned;
-        out.sentinel_near_duplicates += s.sentinel_near_duplicates;
-        out.sentinel_verdict_flips += s.sentinel_verdict_flips;
-        out.sentinel_flagged += s.sentinel_flagged;
-        out.sentinel_tracked_clients += s.sentinel_tracked_clients;
-        out.queue_depth += s.queue_depth;
-        out.latency_sum_us += s.latency_sum_us;
-        out.batch_size_sum += s.batch_size_sum;
-        add_buckets(&mut out.latency_buckets_us, &s.latency_buckets_us);
-        add_buckets(&mut out.batch_size_buckets, &s.batch_size_buckets);
-        for (stage, buckets) in out.stage_buckets_us.iter_mut().zip(&s.stage_buckets_us) {
-            add_buckets(stage, buckets);
-        }
-        for (dst, src) in out.stage_sums_us.iter_mut().zip(&s.stage_sums_us) {
-            *dst += src;
-        }
-    }
-    let lookups = out.cache_hits + out.cache_misses;
-    out.cache_hit_rate = if lookups == 0 {
-        0.0
-    } else {
-        out.cache_hits as f64 / lookups as f64
-    };
-    out.mean_batch_size = if out.batches == 0 {
-        0.0
-    } else {
-        out.rows_scored as f64 / out.batches as f64
-    };
-    out.p50_latency_us = Histogram::quantile_of_buckets(&out.latency_buckets_us, 0.50);
-    out.p99_latency_us = Histogram::quantile_of_buckets(&out.latency_buckets_us, 0.99);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maleva_obs::metrics::HISTOGRAM_BUCKETS;
+    use maleva_obs::metrics::merge;
+
+    fn summary(m: &Metrics) -> MetricsSnapshot {
+        summarize(&m.registry().snapshot())
+    }
 
     #[test]
     fn empty_metrics_snapshot_is_all_zero() {
         let m = Metrics::new();
-        let s = m.snapshot(0);
+        let s = summary(&m);
         assert_eq!(s.requests, 0);
         assert_eq!(s.p50_latency_us, 0);
         assert_eq!(s.cache_hit_rate, 0.0);
@@ -448,7 +346,7 @@ mod tests {
         for _ in 0..10 {
             m.record_latency(Duration::from_micros(1000));
         }
-        let s = m.snapshot(0);
+        let s = summary(&m);
         assert!(s.p50_latency_us <= 16, "p50 {}", s.p50_latency_us);
         assert!(s.p99_latency_us >= 512, "p99 {}", s.p99_latency_us);
     }
@@ -460,7 +358,8 @@ mod tests {
         m.cache_misses.add(1);
         m.batches.add(2);
         m.rows_scored.add(12);
-        let s = m.snapshot(5);
+        m.cache_entries.set(5);
+        let s = summary(&m);
         assert!((s.cache_hit_rate - 0.75).abs() < 1e-12);
         assert!((s.mean_batch_size - 6.0).abs() < 1e-12);
         assert_eq!(s.cache_entries, 5);
@@ -470,7 +369,7 @@ mod tests {
     fn sub_microsecond_latencies_land_in_bucket_zero() {
         let m = Metrics::new();
         m.record_latency(Duration::from_nanos(10));
-        let s = m.snapshot(0);
+        let s = summary(&m);
         assert_eq!(s.p50_latency_us, 1);
         assert_eq!(s.latency_buckets_us[0], 1);
     }
@@ -481,7 +380,7 @@ mod tests {
         // ~2^41 µs — far past the top bucket bound of 2^31 µs. The
         // sample must land in the last bucket, not be dropped.
         m.record_latency(Duration::from_secs(40 * 24 * 3600));
-        let s = m.snapshot(0);
+        let s = summary(&m);
         assert_eq!(s.latency_buckets_us[HISTOGRAM_BUCKETS - 1], 1);
         assert_eq!(
             s.p99_latency_us,
@@ -497,7 +396,7 @@ mod tests {
             m.record_latency(Duration::from_nanos(1)); // bucket 0
         }
         m.record_latency(Duration::from_secs(u32::MAX as u64)); // saturates
-        let s = m.snapshot(0);
+        let s = summary(&m);
         assert_eq!(s.p50_latency_us, 1); // bucket 0 upper bound
         assert_eq!(
             s.p99_latency_us,
@@ -513,7 +412,7 @@ mod tests {
         m.record_batch_size(1);
         m.record_batch_size(8);
         m.record_batch_size(8);
-        let s = m.snapshot(0);
+        let s = summary(&m);
         assert_eq!(s.batch_size_buckets[1], 1); // [1, 2)
         assert_eq!(s.batch_size_buckets[4], 2); // [8, 16)
     }
@@ -529,7 +428,7 @@ mod tests {
             inference: Duration::from_micros(900),
             serialize: Duration::from_micros(7),
         });
-        let text = m.render_prometheus(0);
+        let text = m.registry().render_prometheus();
         for stage in maleva_obs::report::STAGES {
             assert!(
                 text.contains(&format!("serve_stage_{stage}_us_count 1")),
@@ -538,10 +437,10 @@ mod tests {
         }
         // The slow inference sample must land above the fast stages.
         use maleva_obs::metrics::MetricReading;
-        match m.registry().read("serve_stage_inference_us") {
+        match m.registry().snapshot().get("serve_stage_inference_us") {
             Some(MetricReading::Histogram { sum, count, .. }) => {
-                assert_eq!(count, 1);
-                assert_eq!(sum, 900);
+                assert_eq!(*count, 1);
+                assert_eq!(*sum, 900);
             }
             other => panic!("unexpected reading {other:?}"),
         }
@@ -562,7 +461,9 @@ mod tests {
         b.batches.add(1);
         b.rows_scored.add(4);
         b.record_latency(Duration::from_micros(1000));
-        let merged = merge(&[a.snapshot(3), b.snapshot(1)]);
+        a.cache_entries.set(3);
+        b.cache_entries.set(1);
+        let merged = summarize(&merge([&a.registry().snapshot(), &b.registry().snapshot()]));
         assert_eq!(merged.requests, 15);
         assert_eq!(merged.cache_entries, 4);
         assert!((merged.cache_hit_rate - 0.6).abs() < 1e-12);
@@ -573,36 +474,76 @@ mod tests {
         assert!(merged.p50_latency_us <= 16, "{}", merged.p50_latency_us);
         assert!(merged.p99_latency_us >= 512, "{}", merged.p99_latency_us);
         // Merging one snapshot is the identity on the counter sums.
-        let solo = merge(&[a.snapshot(3)]);
+        let solo = summarize(&merge([&a.registry().snapshot()]));
         assert_eq!(solo.requests, 10);
-        assert_eq!(solo.p50_latency_us, a.snapshot(3).p50_latency_us);
+        assert_eq!(solo.p50_latency_us, summary(&a).p50_latency_us);
     }
 
     #[test]
-    fn absorb_raises_the_aggregate_to_the_merged_totals_idempotently() {
-        let shard = Metrics::new();
-        shard.requests.add(7);
-        shard.errors.add(2);
-        shard.record_latency(Duration::from_micros(100));
-        shard.record_batch_size(4);
-        shard.record_stages(&StageTimes {
-            inference: Duration::from_micros(90),
-            ..StageTimes::default()
+    fn summary_reads_every_series() {
+        let m = Metrics::new();
+        let counters = [
+            &m.requests,
+            &m.batches,
+            &m.rows_scored,
+            &m.cache_hits,
+            &m.cache_misses,
+            &m.errors,
+            &m.overloaded,
+            &m.shed,
+            &m.deadline_exceeded,
+            &m.scorer_panics,
+            &m.row_failures,
+            &m.faults_injected,
+            &m.sentinel_throttled,
+            &m.sentinel_poisoned,
+            &m.sentinel_near_duplicates,
+            &m.sentinel_verdict_flips,
+            &m.sentinel_flagged,
+        ];
+        for (i, counter) in counters.iter().enumerate() {
+            counter.add(i as u64 + 1);
+        }
+        m.sentinel_tracked_clients.set(18);
+        m.queue_depth.set(19);
+        m.cache_entries.set(20);
+        m.record_batch_size(3);
+        m.record_latency(Duration::from_micros(21));
+        let us = Duration::from_micros;
+        m.record_stages(&StageTimes {
+            queue_wait: us(1),
+            batch_wait: us(2),
+            cache_lookup: us(3),
+            sentinel_check: us(4),
+            inference: us(5),
+            serialize: us(6),
         });
-        let merged = merge(&[shard.snapshot(2)]);
-        let aggregate = Metrics::new();
-        aggregate.absorb(&merged);
-        aggregate.absorb(&merged); // second absorb must not double-count
-        let view = aggregate.snapshot(merged.cache_entries);
-        assert_eq!(view.requests, 7);
-        assert_eq!(view.errors, 2);
-        assert_eq!(view.latency_buckets_us, merged.latency_buckets_us);
-        assert_eq!(view.latency_sum_us, 100);
-        assert_eq!(view.batch_size_sum, 4);
-        assert_eq!(view.stage_sums_us[4], 90); // inference is stage 4
-        let text = aggregate.render_prometheus(merged.cache_entries);
-        assert!(text.contains("serve_requests_total 7"), "{text}");
-        assert!(text.contains("serve_request_latency_us_count 1"), "{text}");
+        let s = summary(&m);
+        let read = [
+            s.requests,
+            s.batches,
+            s.rows_scored,
+            s.cache_hits,
+            s.cache_misses,
+            s.errors,
+            s.overloaded,
+            s.shed,
+            s.deadline_exceeded,
+            s.scorer_panics,
+            s.row_failures,
+            s.faults_injected,
+            s.sentinel_throttled,
+            s.sentinel_poisoned,
+            s.sentinel_near_duplicates,
+            s.sentinel_verdict_flips,
+            s.sentinel_flagged,
+        ];
+        assert_eq!(read.to_vec(), (1..=17).collect::<Vec<u64>>());
+        assert_eq!(s.sentinel_tracked_clients, 18);
+        assert_eq!(s.queue_depth, 19);
+        assert_eq!(s.cache_entries, 20);
+        assert_eq!((s.batch_size_sum, s.latency_sum_us), (3, 21));
+        assert_eq!(s.stage_sums_us, [1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -611,7 +552,8 @@ mod tests {
         m.requests.add(7);
         m.record_latency(Duration::from_micros(100));
         m.record_batch_size(4);
-        let text = m.render_prometheus(3);
+        m.cache_entries.set(3);
+        let text = m.registry().render_prometheus();
         assert!(
             text.contains("# TYPE serve_requests_total counter"),
             "{text}"

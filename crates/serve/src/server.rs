@@ -18,9 +18,9 @@
 //!   out and wake the owning shard.
 //!
 //! Cross-shard views (`{"cmd": "stats"}`, the Prometheus exposition,
-//! health, SLO evaluation) are merged on demand: every shard takes one
-//! coherent snapshot, [`crate::metrics::merge`] combines them, and the
-//! aggregate registry absorbs the result — so the merged counters
+//! health, SLO evaluation) are merged on read: each read captures every
+//! shard's registry once and merges the captures with the server's own
+//! registry (SLO alarms, model generation) — so the merged counters
 //! always equal the per-shard sums, even mid-drain.
 //!
 //! Shutdown (`{"cmd": "shutdown"}` or [`ServerHandle::shutdown`]) is a
@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use maleva_core::DetectorPipeline;
-use maleva_obs::metrics::Gauge;
+use maleva_obs::metrics::{merge, Gauge, Registry, Snapshot};
 use maleva_obs::slo::SloSpec;
 use maleva_obs::trace;
 use maleva_wire::{ReloadAck, Stats};
@@ -68,9 +68,6 @@ pub struct ServeConfig {
     /// How long the scorer waits for a batch to fill after the first
     /// job arrives.
     pub batch_timeout: Duration,
-    /// Bounded per-shard scoring-queue capacity; a full queue yields
-    /// [`ServeError::Overloaded`] instead of blocking the client.
-    pub queue_capacity: usize,
     /// Per-shard LRU score-cache capacity in entries; 0 disables the
     /// cache.
     pub cache_capacity: usize,
@@ -80,10 +77,11 @@ pub struct ServeConfig {
     /// budget gets a typed `deadline_exceeded` error instead of a
     /// connection that hangs on a slow or wedged scorer.
     pub request_deadline: Duration,
-    /// Admission-control threshold: when a shard's scoring queue
-    /// already holds at least this many jobs, new misses are shed with
-    /// `overloaded` (plus a `retry_after_ms` hint) *before* the queue
-    /// fills. Defaults to `queue_capacity` (shed only when full).
+    /// The per-shard scoring-queue bound: when a shard's queue already
+    /// holds this many jobs, new misses are shed with
+    /// [`ServeError::Overloaded`] (plus a `retry_after_ms` hint)
+    /// instead of blocking the client. The queue is sized to match, so
+    /// the shed check is the only admission bound.
     pub shed_queue_depth: usize,
     /// Deterministic fault-injection plan; disabled by default.
     pub faults: FaultPlan,
@@ -101,7 +99,6 @@ impl Default for ServeConfig {
             shards: 1,
             max_batch: 32,
             batch_timeout: Duration::from_millis(2),
-            queue_capacity: 1024,
             cache_capacity: 4096,
             max_line_bytes: 1 << 20,
             request_deadline: Duration::from_secs(30),
@@ -136,12 +133,9 @@ pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     /// The swappable model all shards score against.
     pub(crate) model: ModelSlot,
-    /// The aggregate registry behind the Prometheus exposition and the
-    /// SLO runtime; refreshed from per-shard snapshots on demand.
-    pub(crate) aggregate: Metrics,
-    pub(crate) model_generation: Arc<Gauge>,
-    /// Serializes refresh() so aggregate absorbs are never interleaved.
-    refresh_lock: Mutex<()>,
+    /// Server-wide series: the SLO alarms and the model generation.
+    registry: Registry,
+    model_generation: Arc<Gauge>,
     /// Serializes reloads so load+validate+install is atomic.
     reload_lock: Mutex<()>,
     pub(crate) shards: Vec<Arc<ShardState>>,
@@ -175,30 +169,40 @@ impl Shared {
     }
 }
 
-/// Takes one coherent per-shard snapshot vector, merges it, and raises
-/// the aggregate registry (exposition, SLO inputs) to the merged
-/// totals. Returns the `stats` body — the merged snapshot and the
-/// per-shard ones both derive from the SAME snapshots, so they can
-/// never disagree, even taken mid-drain.
-pub(crate) fn refresh(shared: &Shared) -> Stats {
-    let _guard = match shared.refresh_lock.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let shards: Vec<MetricsSnapshot> = shared.shards.iter().map(|s| s.snapshot()).collect();
-    let merged = metrics::merge(&shards);
-    shared.aggregate.absorb(&merged);
+/// One read of the server's metrics: a capture of each shard's
+/// registry, in shard order, and their merge with the server registry.
+pub(crate) struct Reading {
+    pub(crate) shards: Vec<Snapshot>,
+    pub(crate) merged: Snapshot,
+}
+
+impl Reading {
+    /// The `stats` body. The merged view and the per-shard ones derive
+    /// from the same captures, so they can never disagree, even taken
+    /// mid-drain.
+    pub(crate) fn stats(&self) -> Stats {
+        Stats {
+            merged: metrics::summarize(&self.merged),
+            shards: self.shards.iter().map(metrics::summarize).collect(),
+        }
+    }
+}
+
+/// Captures every shard once, then the server registry, and merges
+/// them — the one read path behind `stats`, `metrics`, `health`, `slo`
+/// and the handle's metrics.
+pub(crate) fn read(shared: &Shared) -> Reading {
+    let shards: Vec<Snapshot> = shared.shards.iter().map(|s| s.capture()).collect();
     shared
         .model_generation
         .set(shared.model.generation().min(i64::MAX as u64) as i64);
-    Stats { merged, shards }
+    let merged = merge(shards.iter().chain([&shared.registry.snapshot()]));
+    Reading { shards, merged }
 }
 
-/// Refreshes the aggregate registry, then evaluates the SLO alarms
-/// against it.
+/// Evaluates the SLO alarms against a fresh read.
 pub(crate) fn evaluate_slo(shared: &Shared) -> SloReport {
-    let _ = refresh(shared);
-    shared.slo.observe_and_evaluate(shared.aggregate.registry())
+    shared.slo.observe_and_evaluate(&read(shared).merged)
 }
 
 /// Loads, validates, and atomically installs the model at `path`.
@@ -212,9 +216,6 @@ pub(crate) fn do_reload(shared: &Shared, path: &str) -> Result<ReloadAck, ServeE
     let network = load_model(path, &shared.pipeline)?;
     let params = network.param_count() as u64;
     let generation = shared.model.install(network);
-    shared
-        .model_generation
-        .set(generation.min(i64::MAX as u64) as i64);
     trace::event(
         "serve.reload",
         &[("generation", generation.into()), ("params", params.into())],
@@ -224,7 +225,7 @@ pub(crate) fn do_reload(shared: &Shared, path: &str) -> Result<ReloadAck, ServeE
 
 pub(crate) fn health_report(shared: &Shared) -> HealthReport {
     let draining = shared.shutting_down.load(Ordering::SeqCst);
-    let merged = refresh(shared).merged;
+    let merged = metrics::summarize(&read(shared).merged);
     HealthReport {
         status: if draining { "draining" } else { "ok" }.to_string(),
         draining,
@@ -300,7 +301,7 @@ impl ServerHandle {
 
     /// A point-in-time metrics snapshot, merged across shards.
     pub fn metrics(&self) -> MetricsSnapshot {
-        refresh(&self.shared).merged
+        metrics::summarize(&read(&self.shared).merged)
     }
 
     /// Per-site injected-fault counters, `(site, fired)` in stable
@@ -352,14 +353,14 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shared.trigger_shutdown();
         self.join_threads();
-        refresh(&self.shared).merged
+        self.metrics()
     }
 
     /// Blocks until the server shuts down (e.g. a client sent
     /// `{"cmd": "shutdown"}`), then returns the final metrics.
     pub fn join(mut self) -> MetricsSnapshot {
         self.join_threads();
-        refresh(&self.shared).merged
+        self.metrics()
     }
 
     fn join_threads(&mut self) {
@@ -399,12 +400,12 @@ pub fn spawn(pipeline: DetectorPipeline, config: ServeConfig) -> std::io::Result
     let shard_count = config.shards.max(1);
     let max_batch = config.max_batch.max(1);
     let batch_timeout = config.batch_timeout;
-    let queue_capacity = config.queue_capacity.max(1);
+    let queue_bound = config.shed_queue_depth.max(1);
 
     let injector = FaultInjector::new(config.faults.clone());
-    let aggregate = Metrics::new();
-    let slo = SloRuntime::new(config.slos.clone(), aggregate.registry());
-    let model_generation = aggregate.registry().gauge(
+    let registry = Registry::new();
+    let slo = SloRuntime::new(config.slos.clone(), &registry);
+    let model_generation = registry.gauge(
         "serve_model_generation",
         "Generation of the model currently serving (0 = boot model).",
     );
@@ -422,7 +423,7 @@ pub fn spawn(pipeline: DetectorPipeline, config: ServeConfig) -> std::io::Result
     for index in 0..shard_count {
         let (poller, waker) = Poller::new()?;
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let (job_tx, job_rx) = mpsc::sync_channel::<ScoreJob>(queue_capacity);
+        let (job_tx, job_rx) = mpsc::sync_channel::<ScoreJob>(queue_bound);
         shards.push(Arc::new(ShardState {
             index,
             metrics: Metrics::new(),
@@ -438,9 +439,8 @@ pub fn spawn(pipeline: DetectorPipeline, config: ServeConfig) -> std::io::Result
         pipeline,
         config,
         model,
-        aggregate,
+        registry,
         model_generation,
-        refresh_lock: Mutex::new(()),
         reload_lock: Mutex::new(()),
         shards,
         shutting_down: AtomicBool::new(false),

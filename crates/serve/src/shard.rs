@@ -20,10 +20,11 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use maleva_obs::metrics::Snapshot;
 use maleva_obs::trace::{self, Span};
 use maleva_wire as wire;
 
@@ -31,7 +32,7 @@ use crate::batch::{collect_batch, score_rows_isolated, ScoreJob, ScoredReply};
 use crate::cache::{quantize, LruCache};
 use crate::error::ServeError;
 use crate::fault::FaultSite;
-use crate::metrics::{Metrics, MetricsSnapshot, StageTimes};
+use crate::metrics::{Metrics, StageTimes};
 use crate::protocol::{self, Request, ScoreResponse, TraceContext};
 use crate::reactor::{self, Event, Interest, Poller, Waker};
 use crate::sentinel::{poison_score, Sentinel, SentinelDecision};
@@ -43,8 +44,8 @@ use crate::server::{self, suggested_retry_after_ms, Shared, READ_TICK};
 pub(crate) struct ShardState {
     /// Stable shard index (the acceptor's round-robin position).
     pub(crate) index: usize,
-    /// This shard's private metrics registry; merged on demand by
-    /// [`crate::server::refresh`].
+    /// This shard's private metrics registry; captured and merged by
+    /// [`crate::server::read`].
     pub(crate) metrics: Metrics,
     /// Score cache, keyed by quantized features; values carry the model
     /// generation that produced them so a reload lazily invalidates
@@ -61,16 +62,19 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    /// One coherent snapshot of this shard's metrics, with the cache
-    /// and sentinel gauges refreshed first.
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+    /// One capture of this shard's registry, with the cache-entries
+    /// and tracked-clients gauges set first.
+    pub(crate) fn capture(&self) -> Snapshot {
         let entries = self.cache.lock().map(|c| c.len()).unwrap_or(0);
+        self.metrics
+            .cache_entries
+            .set(entries.min(i64::MAX as usize) as i64);
         if let Ok(sentinel) = self.sentinel.lock() {
             self.metrics
                 .sentinel_tracked_clients
                 .set(sentinel.tracked_clients().min(i64::MAX as usize) as i64);
         }
-        self.metrics.snapshot(entries)
+        self.metrics.registry().snapshot()
     }
 }
 
@@ -343,15 +347,12 @@ fn process_line(
         }
         Ok(Request::Stats) => {
             span.record("cmd", "stats");
-            // Both the merged body and the `shards` array come from the
-            // SAME snapshot vector, so they agree even mid-drain.
-            let stats = server::refresh(shared);
+            let stats = server::read(shared).stats();
             send_line(shared, shard, conn, &wire::encode(&stats), false);
         }
         Ok(Request::Metrics) => {
             span.record("cmd", "metrics");
-            let merged = server::refresh(shared).merged;
-            let text = shared.aggregate.render_prometheus(merged.cache_entries);
+            let text = server::read(shared).merged.render_prometheus();
             write_metrics_block(conn, &text);
         }
         Ok(Request::Health) => {
@@ -515,24 +516,25 @@ fn score_step(
         return ScoreStep::Done(ScoreOutcome::Error(ServeError::ShuttingDown), span, stages);
     }
 
-    let overloaded = |depth: u64| ServeError::Overloaded {
-        capacity: shared.config.queue_capacity,
-        retry_after_ms: suggested_retry_after_ms(
-            depth,
-            shared.config.max_batch,
-            shared.config.batch_timeout,
-        ),
-    };
-
     // Admission control: shed by observed queue depth *before* pushing,
     // so a saturated scorer rejects cheaply instead of queueing work it
-    // cannot finish in time.
+    // cannot finish in time. This shard loop is the queue's only sender
+    // and counts every job into `queue_depth` before sending it, so the
+    // queue (sized at the same bound) never fills.
     let depth = shard.metrics.queue_depth.get().max(0) as u64;
     if depth >= shared.config.shed_queue_depth.max(1) as u64 {
         shard.metrics.shed.inc();
         shard.metrics.overloaded.inc();
         span.record("shed", true);
-        return ScoreStep::Done(ScoreOutcome::Error(overloaded(depth)), span, stages);
+        let overloaded = ServeError::Overloaded {
+            capacity: shared.config.shed_queue_depth,
+            retry_after_ms: suggested_retry_after_ms(
+                depth,
+                shared.config.max_batch,
+                shared.config.batch_timeout,
+            ),
+        };
+        return ScoreStep::Done(ScoreOutcome::Error(overloaded), span, stages);
     }
 
     let sentinel_key = if sentinel_on {
@@ -550,33 +552,25 @@ fn score_step(
     // not at job construction.
     let enqueued = Instant::now();
     job.enqueued_at = enqueued;
+    shard.metrics.queue_depth.add(1);
     match job_tx.try_send(job) {
-        Err(TrySendError::Full(_)) => {
-            shard.metrics.overloaded.inc();
-            span.record("overloaded", true);
-            ScoreStep::Done(
-                ScoreOutcome::Error(overloaded(shared.config.queue_capacity as u64)),
-                span,
-                stages,
-            )
-        }
-        Err(TrySendError::Disconnected(_)) => {
+        Err(_) => {
+            // The queue never fills (see the shed check above), so a
+            // failed send means the scorer is gone: the server drains.
+            shard.metrics.queue_depth.add(-1);
             ScoreStep::Done(ScoreOutcome::Error(ServeError::ShuttingDown), span, stages)
         }
-        Ok(()) => {
-            shard.metrics.queue_depth.add(1);
-            ScoreStep::Pending(Pending {
-                rx: reply_rx,
-                span,
-                stages,
-                start,
-                enqueued,
-                deadline: enqueued + shared.config.request_deadline,
-                sentinel_key,
-                poison,
-                client_id: client_id.to_string(),
-            })
-        }
+        Ok(()) => ScoreStep::Pending(Pending {
+            rx: reply_rx,
+            span,
+            stages,
+            start,
+            enqueued,
+            deadline: enqueued + shared.config.request_deadline,
+            sentinel_key,
+            poison,
+            client_id: client_id.to_string(),
+        }),
     }
 }
 

@@ -1,6 +1,6 @@
 //! The server's SLO surface: default objectives, the runtime that
-//! evaluates them against the live metrics registry, and the JSON
-//! report behind `{"cmd": "slo"}`.
+//! evaluates them against a capture of the server's metrics, and the
+//! JSON report behind `{"cmd": "slo"}`.
 //!
 //! The burn-rate math lives in `maleva_obs::slo` and is driven purely
 //! by injected timestamps; this module supplies the wall clock (the
@@ -14,7 +14,7 @@ use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use maleva_obs::metrics::{Counter, Gauge, Registry};
+use maleva_obs::metrics::{Counter, Gauge, Registry, Snapshot};
 use maleva_obs::slo::{BurnWindow, Objective, SloEngine, SloSpec};
 use maleva_obs::trace;
 pub use maleva_wire::{SloAlarmReport, SloReport, SloWindowReport};
@@ -97,8 +97,8 @@ pub(crate) fn validate_slos(specs: &[SloSpec]) -> io::Result<()> {
     Ok(())
 }
 
-/// Evaluates the configured SLOs on demand against the server's
-/// metrics registry, mirroring alarm state into gauges and trace
+/// Evaluates the configured SLOs on demand against captures of the
+/// server's metrics, mirroring alarm state into gauges and trace
 /// events.
 #[derive(Debug)]
 pub struct SloRuntime {
@@ -135,21 +135,21 @@ impl SloRuntime {
         }
     }
 
-    /// Snapshots the registry at the current server uptime and
-    /// evaluates every alarm — the body of `{"cmd": "slo"}`.
-    pub fn observe_and_evaluate(&self, registry: &Registry) -> SloReport {
-        self.evaluate_at(self.epoch.elapsed(), registry)
+    /// Observes `capture` at the current server uptime and evaluates
+    /// every alarm — the body of `{"cmd": "slo"}`.
+    pub fn observe_and_evaluate(&self, capture: &Snapshot) -> SloReport {
+        self.evaluate_at(self.epoch.elapsed(), capture)
     }
 
     /// Deterministic entry point: observe and evaluate at an explicit
     /// uptime. Tests drive this with synthetic clocks.
-    pub fn evaluate_at(&self, at: Duration, registry: &Registry) -> SloReport {
+    pub fn evaluate_at(&self, at: Duration, capture: &Snapshot) -> SloReport {
         let statuses = {
             let mut engine = match self.engine.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            engine.observe(at, registry);
+            engine.observe(at, capture);
             engine.evaluate(at)
         };
         let mut alarms = Vec::with_capacity(statuses.len());
@@ -201,7 +201,7 @@ mod tests {
     fn default_slos_register_alarm_gauges() {
         let registry = Registry::new();
         let runtime = SloRuntime::new(default_serve_slos(), &registry);
-        let report = runtime.observe_and_evaluate(&registry);
+        let report = runtime.observe_and_evaluate(&registry.snapshot());
         assert_eq!(report.alarms.len(), 3);
         assert!(report.alarms.iter().all(|a| !a.firing));
         let text = registry.render_prometheus();
@@ -230,11 +230,11 @@ mod tests {
         };
         let runtime = SloRuntime::new(vec![spec], &registry);
         // Baseline at t=0, then a burst where half of all requests err.
-        let r0 = runtime.evaluate_at(Duration::ZERO, &registry);
+        let r0 = runtime.evaluate_at(Duration::ZERO, &registry.snapshot());
         assert!(!r0.alarms[0].firing);
         requests.add(100);
         errors.add(50);
-        let r1 = runtime.evaluate_at(Duration::from_millis(150), &registry);
+        let r1 = runtime.evaluate_at(Duration::from_millis(150), &registry.snapshot());
         assert!(r1.alarms[0].firing, "{r1:?}");
         assert!(r1.alarms[0].changed);
         assert!(r1.alarms[0].windows[0].burn_rate > 2.0);
@@ -242,7 +242,7 @@ mod tests {
         assert!(text.contains("slo_alarm_error_rate 1"), "{text}");
         assert!(text.contains("slo_alarm_transitions_total 1"), "{text}");
         // Steady state afterwards: still firing, no new transition.
-        let r2 = runtime.evaluate_at(Duration::from_millis(200), &registry);
+        let r2 = runtime.evaluate_at(Duration::from_millis(200), &registry.snapshot());
         assert!(r2.alarms[0].firing);
         assert!(!r2.alarms[0].changed);
     }

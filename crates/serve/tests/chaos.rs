@@ -9,7 +9,7 @@
 //!   typed error (no hangs, no silent drops);
 //! * **nothing corrupted** — every successful reply is bit-identical to
 //!   the offline oracle;
-//! * **bounded error rate** — retries absorb most injected faults;
+//! * **bounded error rate** — retries soak up most injected faults;
 //! * **clean drain** — after the storm, health answers and shutdown
 //!   joins every thread.
 //!
@@ -464,7 +464,7 @@ fn chaos_soak_loses_nothing_corrupts_nothing_and_drains_clean() {
 
     // Nothing lost: every call terminated with a score or typed error.
     assert_eq!(ok + failed, sent);
-    // Bounded client-visible error rate: retries absorb the chaos.
+    // Bounded client-visible error rate: retries soak up the chaos.
     let ok_rate = ok as f64 / sent as f64;
     assert!(
         ok_rate >= 0.85,

@@ -7,7 +7,8 @@
 //! model — and a failed reload (bad artifact, chaos faults) leaves the
 //! serving generation untouched. Separately, a `{"cmd": "stats"}`
 //! taken mid-traffic on a sharded server must be snapshot-consistent:
-//! the merged counters equal the per-shard sums in the same response.
+//! the merged counters equal the per-shard sums in the same response;
+//! and the Prometheus exposition and the SLO engine count every shard.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -19,6 +20,7 @@ use std::time::Duration;
 
 use maleva_core::{ExperimentContext, ExperimentScale};
 use maleva_nn::{Activation, Network, NetworkBuilder};
+use maleva_obs::slo::{BurnWindow, Objective, SloSpec};
 use maleva_serve::{spawn, FaultPlan, ScoreResponse, ServeConfig, ServerHandle};
 use maleva_wire::{MetricsSnapshot, Stats};
 
@@ -272,6 +274,135 @@ fn stats_merge_is_snapshot_consistent_under_concurrent_traffic() {
     for w in workers {
         w.join().expect("client thread");
     }
+    drop(handle);
+}
+
+/// Reads a `{"cmd": "metrics"}` exposition block up to its `# EOF`
+/// marker.
+fn metrics_block(wire: &mut Wire) -> String {
+    wire.writer
+        .write_all(b"{\"cmd\":\"metrics\"}\n")
+        .expect("write");
+    let mut block = String::new();
+    loop {
+        let mut line = String::new();
+        wire.reader.read_line(&mut line).expect("read exposition");
+        if line.trim_end() == "# EOF" || line.is_empty() {
+            return block;
+        }
+        block.push_str(&line);
+    }
+}
+
+/// The value of the unlabelled series `name` in an exposition block.
+fn series(block: &str, name: &str) -> u64 {
+    block
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no `{name}` series in {block}"))
+        .parse()
+        .expect("integer series value")
+}
+
+/// On a 4-shard server the Prometheus exposition and the SLO engine
+/// see every shard: after traffic with malformed lines on several
+/// shards stops, the exposition's counters equal the `stats` body's
+/// merged view and its per-shard sums, and an `error_rate` alarm
+/// counts every shard's errors.
+#[test]
+fn exposition_and_slo_count_every_shard() {
+    let handle = spawn(
+        ctx().detector.clone(),
+        ServeConfig {
+            shards: 4,
+            batch_timeout: Duration::from_millis(1),
+            slos: vec![SloSpec {
+                name: "error_rate".to_string(),
+                objective: Objective::EventRatio {
+                    numerator: "serve_errors_total".to_string(),
+                    denominator: "serve_requests_total".to_string(),
+                },
+                target: 0.99,
+                windows: vec![BurnWindow {
+                    window: Duration::from_millis(50),
+                    max_burn_rate: 1.0,
+                }],
+            }],
+            ..ServeConfig::default()
+        },
+    )
+    .expect("spawn server");
+    let addr = handle.addr();
+    // Baseline before any traffic, so the window's history starts at 0.
+    assert!(!handle.slo().alarms[0].firing);
+
+    let test = ctx().dataset.test();
+    let pool: Vec<String> = (0..16)
+        .map(|i| render_line(test[i % test.len()].counts()))
+        .collect();
+    // Connected in order, so accept round-robin puts connection `c` on
+    // shard `c % 4`; every connection off shard 0 also sends malformed
+    // lines.
+    let wires: Vec<Wire> = (0..8).map(|_| Wire::connect(addr)).collect();
+    let workers: Vec<_> = wires
+        .into_iter()
+        .enumerate()
+        .map(|(c, mut wire)| {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                for r in 0..30 {
+                    let resp = wire.roundtrip(&pool[(c * 3 + r) % pool.len()]);
+                    assert!(resp.starts_with("{\"score\":"), "unexpected: {resp}");
+                    if c % 4 != 0 && r % 3 == 0 {
+                        let resp = wire.roundtrip("not a request");
+                        assert!(resp.starts_with("{\"error\":"), "unexpected: {resp}");
+                    }
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("client thread");
+    }
+
+    let mut wire = Wire::connect(addr);
+    let stats: Stats = maleva_wire::decode(&wire.roundtrip("{\"cmd\":\"stats\"}")).expect("stats");
+    let block = metrics_block(&mut wire);
+    assert_eq!(stats.shards.len(), 4);
+    assert!(
+        stats.shards.iter().filter(|s| s.errors > 0).count() >= 2,
+        "errors should land on several shards: {:?}",
+        stats.shards.iter().map(|s| s.errors).collect::<Vec<_>>()
+    );
+    type Read = fn(&MetricsSnapshot) -> u64;
+    let series_of: [(&str, Read); 4] = [
+        ("serve_requests_total", |s| s.requests),
+        ("serve_errors_total", |s| s.errors),
+        ("serve_cache_hits_total", |s| s.cache_hits),
+        ("serve_request_latency_us_count", |s| {
+            s.latency_buckets_us.iter().sum()
+        }),
+    ];
+    for (name, read) in series_of {
+        let exposed = series(&block, name);
+        assert_eq!(exposed, read(&stats.merged), "`{name}` vs merged stats");
+        let per_shard: u64 = stats.shards.iter().map(read).sum();
+        assert_eq!(exposed, per_shard, "`{name}` vs per-shard sum");
+    }
+    assert_eq!(
+        stats.merged.requests,
+        8 * 30,
+        "every score request counted once"
+    );
+
+    // Let the evaluation clock cover the window past the baseline.
+    std::thread::sleep(Duration::from_millis(60));
+    let report = handle.slo();
+    let window = &report.alarms[0].windows[0];
+    assert!(window.covered, "{report:?}");
+    assert_eq!(window.bad, stats.merged.errors, "{report:?}");
+    assert_eq!(window.total, stats.merged.requests, "{report:?}");
+    assert!(report.alarms[0].firing, "{report:?}");
     drop(handle);
 }
 

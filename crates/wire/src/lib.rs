@@ -321,7 +321,8 @@ pub struct MetricsSnapshot {
     /// 99th-percentile request latency, µs (bucket upper bound).
     pub p99_latency_us: u64,
     /// Power-of-two latency buckets: entry `i` counts requests in
-    /// `[2^(i-1), 2^i)` µs; the last bucket absorbs everything above.
+    /// `[2^(i-1), 2^i)` µs; the last bucket also counts everything
+    /// above.
     pub latency_buckets_us: Vec<u64>,
     /// Power-of-two batch-size buckets, same layout as latencies.
     pub batch_size_buckets: Vec<u64>,

@@ -36,7 +36,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    let flags = match parse_flags(command, &args[1..]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -158,13 +158,87 @@ train also writes manifest.json next to its --out artifact";
 /// Flags that take no value; parsed as `"true"`.
 const BOOLEAN_FLAGS: &[&str] = &["resume"];
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Flags every command accepts.
+const GLOBAL_FLAGS: &[&str] = &["trace-out", "threads", "backend"];
+
+/// The flags `command` reads besides [`GLOBAL_FLAGS`], or `None` for a
+/// name that is not a command.
+fn command_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "train" => &[
+            "out",
+            "scale",
+            "seed",
+            "checkpoint-dir",
+            "checkpoint-every",
+            "resume",
+        ],
+        "scan" => &["model", "log"],
+        "attack" => &["model", "log", "theta", "gamma", "out"],
+        "score" => &["remote", "log", "attempts", "deadline-ms"],
+        "gen" => &["out", "class", "seed"],
+        "info" => &["model"],
+        "serve" => &[
+            "model",
+            "addr",
+            "shards",
+            "max-batch",
+            "batch-timeout-ms",
+            "cache-cap",
+            "deadline-ms",
+            "shed-depth",
+            "faults",
+            "sentinel",
+            "sentinel-seed",
+            "seed",
+        ],
+        "reload" => &["remote", "model"],
+        "blackbox" => &[
+            "scale",
+            "seed",
+            "attack-seed",
+            "queries",
+            "corpus",
+            "rounds",
+            "overlap",
+            "gamma",
+            "eval",
+            "report",
+        ],
+        "campaign" => &[
+            "scale",
+            "seed",
+            "attack-seed",
+            "queries",
+            "corpus",
+            "rounds",
+            "overlap",
+            "gamma",
+            "eval",
+            "benign",
+            "sentinel",
+            "sentinel-seed",
+            "addr",
+            "report",
+        ],
+        "obs-report" => &["trace", "top", "out"],
+        _ => return None,
+    })
+}
+
+/// Parses `--name value` pairs, rejecting any flag `command` does not
+/// read, so a misspelt or retired flag fails instead of being ignored.
+fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let known = command_flags(command);
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected a --flag, got {key}"));
         };
+        if known.is_some_and(|known| !known.contains(&name) && !GLOBAL_FLAGS.contains(&name)) {
+            return Err(format!("maleva {command} has no --{name} flag"));
+        }
         if BOOLEAN_FLAGS.contains(&name) {
             flags.insert(name.to_string(), "true".to_string());
             continue;

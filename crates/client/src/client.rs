@@ -272,6 +272,9 @@ pub struct ScoreClient {
     budget: RetryBudget,
     metrics: ClientMetrics,
     epoch: Instant,
+    /// The request line buffer, reused across calls: each call encodes
+    /// its counts once, and each attempt appends its own trace suffix.
+    request: String,
 }
 
 impl ScoreClient {
@@ -286,6 +289,7 @@ impl ScoreClient {
             budget,
             metrics: ClientMetrics::new(),
             epoch: Instant::now(),
+            request: String::new(),
         }
     }
 
@@ -344,10 +348,24 @@ impl ScoreClient {
         self.metrics.requests.inc();
         self.budget.on_call();
 
-        let base = match self.config.client_id.as_deref() {
-            Some(id) => encode_score_request_as(counts, id),
-            None => encode_score_request(counts),
-        };
+        let mut line = std::mem::take(&mut self.request);
+        line.clear();
+        push_score_request(&mut line, counts, self.config.client_id.as_deref());
+        // Every attempt's line is the call's encoding up to its closing
+        // brace, then that attempt's trace suffix.
+        let base = line.len() - 1;
+        let result = self.score_attempts(&mut line, base, trace_id, start);
+        self.request = line;
+        result
+    }
+
+    fn score_attempts(
+        &mut self,
+        line: &mut String,
+        base: usize,
+        trace_id: u64,
+        start: Instant,
+    ) -> Result<ScoreOutcome, ClientError> {
         let mut attempts = 0u32;
         let mut last_err;
         loop {
@@ -370,12 +388,14 @@ impl ScoreClient {
             // Fresh span id per attempt: retries of one logical request
             // share the trace id but are distinguishable on the wire.
             let span_id = trace::mint_id();
-            let line = encode_score_request_traced(&base, trace_id, span_id);
+            line.truncate(base);
+            push_trace_suffix(line, trace_id, span_id);
+            line.push('\n');
             let mut attempt_span = Span::enter("client.attempt");
             attempt_span.record("trace_id", trace_id);
             attempt_span.record("span_id", span_id);
             attempt_span.record("attempt", attempts as u64);
-            let outcome = self.attempt(&line);
+            let outcome = self.attempt(line);
             attempt_span.record("ok", outcome.is_ok());
             drop(attempt_span);
             match outcome {
@@ -449,7 +469,7 @@ impl ScoreClient {
     ///
     /// [`ClientError::Io`] on transport failure.
     pub fn command(&mut self, cmd: &str) -> Result<String, ClientError> {
-        self.roundtrip(&format!("{{\"cmd\":\"{cmd}\"}}"))
+        self.roundtrip(&format!("{{\"cmd\":\"{cmd}\"}}\n"))
     }
 
     /// Sends `{"cmd":"reload","path":...}` and parses the typed
@@ -465,7 +485,9 @@ impl ScoreClient {
     /// [`ClientError::Server`] (kind `reload_failed`) when the server
     /// rejected the artifact and kept its current model.
     pub fn reload(&mut self, path: &str) -> Result<ReloadAck, ClientError> {
-        decode(&self.roundtrip(&encode_reload_request(path))?)
+        let mut line = encode_reload_request(path);
+        line.push('\n');
+        decode(&self.roundtrip(&line)?)
     }
 
     /// Sends `{"cmd":"health"}` and parses the typed report.
@@ -524,10 +546,10 @@ impl ScoreClient {
         Ok(())
     }
 
-    /// One wire attempt: write the request line, read one response
-    /// line, decode it. Any transport or decode failure drops the
-    /// connection (the stream may be desynchronized); a typed server
-    /// error keeps it.
+    /// One wire attempt: write the request line (newline included),
+    /// read one response line, decode it. Any transport or decode
+    /// failure drops the connection (the stream may be desynchronized);
+    /// a typed server error keeps it.
     fn attempt(&mut self, line: &str) -> Result<ScoreResponse, ClientError> {
         let reply = decode(&self.roundtrip(line)?);
         if let Err(ClientError::Protocol { .. }) = reply {
@@ -548,14 +570,14 @@ impl ScoreClient {
         }
     }
 
+    /// Sends `line`, which ends in its newline, and reads one reply
+    /// line.
     fn try_roundtrip(&mut self, line: &str) -> std::io::Result<String> {
         if self.conn.is_none() {
             self.conn = Some(self.open_conn()?);
         }
         let conn = self.conn.as_mut().expect("connection just ensured");
-        conn.writer.write_all(line.as_bytes())?;
-        conn.writer.write_all(b"\n")?;
-        conn.writer.flush()?;
+        send_line(&mut conn.writer, line)?;
         let mut resp = String::new();
         let n = conn.reader.read_line(&mut resp)?;
         if n == 0 {
@@ -564,7 +586,8 @@ impl ScoreClient {
                 "server closed the connection",
             ));
         }
-        Ok(resp.trim_end().to_string())
+        resp.truncate(resp.trim_end().len());
+        Ok(resp)
     }
 
     fn open_conn(&self) -> std::io::Result<Conn> {
@@ -582,6 +605,16 @@ impl ScoreClient {
     }
 }
 
+/// Writes one request line, newline included, in a single `write`:
+/// with `TCP_NODELAY` set, a line and its newline written apart go out
+/// as two segments, and the server may wake for the first only to wait
+/// for the second.
+fn send_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+    debug_assert!(line.ends_with('\n'), "unterminated request line");
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
+
 fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
     addr.to_socket_addrs()?.next().ok_or_else(|| {
         std::io::Error::new(
@@ -593,26 +626,57 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
 
 /// Encodes a score request line for raw API-call counts.
 pub fn encode_score_request(counts: &[u32]) -> String {
-    let mut line = String::with_capacity(16 + counts.len() * 3);
-    line.push_str("{\"features\":[");
-    for (i, c) in counts.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&c.to_string());
-    }
-    line.push_str("]}");
+    let mut line = String::new();
+    push_score_request(&mut line, counts, None);
     line
 }
 
 /// Encodes a score request line carrying an explicit `client_id`.
 pub fn encode_score_request_as(counts: &[u32], client_id: &str) -> String {
-    let mut line = encode_score_request(counts);
-    line.pop(); // strip the closing brace
-    line.push_str(",\"client_id\":\"");
-    push_json_escaped(&mut line, client_id);
-    line.push_str("\"}");
+    let mut line = String::new();
+    push_score_request(&mut line, counts, Some(client_id));
     line
+}
+
+/// Appends the score request for `counts` (and `client_id`, when
+/// given) to `line`.
+fn push_score_request(line: &mut String, counts: &[u32], client_id: Option<&str>) {
+    // Most counts are one to three digits; the trace suffix adds ~60.
+    line.reserve(96 + counts.len() * 4);
+    line.push_str("{\"features\":[");
+    for (i, &c) in counts.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        push_decimal(line, c.into());
+    }
+    line.push(']');
+    if let Some(id) = client_id {
+        line.push_str(",\"client_id\":\"");
+        push_json_escaped(line, id);
+        line.push('"');
+    }
+    line.push('}');
+}
+
+/// Appends the decimal digits of `value`.
+fn push_decimal(line: &mut String, mut value: u64) {
+    if value < 10 {
+        // Most counts: a sample calls most APIs never or a few times.
+        line.push(char::from(b'0' + value as u8));
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    line.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// Encodes a `{"cmd":"reload"}` request for a server-side model path.
@@ -645,12 +709,18 @@ pub fn encode_score_request_traced(encoded: &str, trace_id: u64, span_id: u64) -
     debug_assert!(encoded.ends_with('}'), "not an encoded request: {encoded}");
     let mut line = String::with_capacity(encoded.len() + 48);
     line.push_str(&encoded[..encoded.len() - 1]);
-    line.push_str(",\"trace_id\":");
-    line.push_str(&trace_id.to_string());
-    line.push_str(",\"span_id\":");
-    line.push_str(&span_id.to_string());
-    line.push('}');
+    push_trace_suffix(&mut line, trace_id, span_id);
     line
+}
+
+/// Appends `,"trace_id":T,"span_id":S}` to a request line whose
+/// closing brace was cut off.
+fn push_trace_suffix(line: &mut String, trace_id: u64, span_id: u64) {
+    line.push_str(",\"trace_id\":");
+    push_decimal(line, trace_id);
+    line.push_str(",\"span_id\":");
+    push_decimal(line, span_id);
+    line.push('}');
 }
 
 #[cfg(test)]
@@ -701,6 +771,71 @@ mod tests {
             encode_score_request_traced(&encode_score_request_as(&[3], "tenant-a"), 1, 2),
             "{\"features\":[3],\"client_id\":\"tenant-a\",\"trace_id\":1,\"span_id\":2}"
         );
+    }
+
+    #[test]
+    fn decimal_writer_matches_to_string() {
+        for v in [0, 7, 9, 10, 99, 100, 4_294_967_295, 4_294_967_296, u64::MAX] {
+            let mut line = String::from("x");
+            push_decimal(&mut line, v);
+            assert_eq!(line, format!("x{v}"));
+        }
+    }
+
+    #[test]
+    fn each_attempt_line_is_the_traced_encoding_plus_a_newline() {
+        // The reused buffer a call builds its attempts in must put the
+        // same bytes on the wire as the public encoders.
+        let counts = [0, 1, 12, 345, u32::MAX];
+        for client_id in [None, Some("tenant \"a\"\n")] {
+            let mut line = String::new();
+            push_score_request(&mut line, &counts, client_id);
+            let base = line.len() - 1;
+            let encoded = match client_id {
+                Some(id) => encode_score_request_as(&counts, id),
+                None => encode_score_request(&counts),
+            };
+            for (trace_id, span_id) in [(1, 2), (u64::MAX, 10), (99, u64::MAX)] {
+                line.truncate(base);
+                push_trace_suffix(&mut line, trace_id, span_id);
+                line.push('\n');
+                let want = encode_score_request_traced(&encoded, trace_id, span_id);
+                assert_eq!(line, format!("{want}\n"));
+            }
+        }
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_request_line_goes_out_in_one_write() {
+        let line = format!(
+            "{}\n",
+            encode_score_request_traced(&encode_score_request(&[3; 491]), 7, 9)
+        );
+        let mut writer = CountingWriter::default();
+        send_line(&mut writer, &line).unwrap();
+        assert_eq!(writer.writes, 1);
+        assert_eq!(writer.bytes, line.as_bytes());
+        send_line(&mut writer, "{\"cmd\":\"stats\"}\n").unwrap();
+        assert_eq!(writer.writes, 2);
     }
 
     #[test]

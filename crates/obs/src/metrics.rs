@@ -153,17 +153,12 @@ impl Histogram {
         1u64 << i.min(63)
     }
 
-    /// Approximate quantile `q` in `[0, 1]`: the upper bound of the
-    /// first bucket at which the cumulative count reaches
-    /// `q * count`. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        Self::quantile_of_buckets(&self.snapshot_buckets(), q)
-    }
-
-    /// [`Histogram::quantile`] over an externally held bucket vector —
-    /// e.g. buckets merged across several histograms (the sharded
-    /// server merges per-shard snapshots and reads percentiles off the
-    /// combined distribution).
+    /// Approximate quantile `q` in `[0, 1]` of a bucket vector — a
+    /// [`Histogram::snapshot_buckets`] copy, or buckets merged across
+    /// several histograms (the sharded server merges per-shard captures
+    /// and reads percentiles off the combined distribution): the upper
+    /// bound of the first bucket at which the cumulative count reaches
+    /// `q * count`. Returns 0 for an empty vector.
     pub fn quantile_of_buckets(counts: &[u64], q: f64) -> u64 {
         let total: u64 = counts.iter().sum();
         if total == 0 {
@@ -573,19 +568,20 @@ mod tests {
     fn quantiles_pin_both_extremes() {
         let h = Histogram::new();
         // All samples tiny: every quantile is the smallest occupied bound.
+        let quantile = |h: &Histogram, q| Histogram::quantile_of_buckets(&h.snapshot_buckets(), q);
         for _ in 0..100 {
             h.record(1);
         }
-        assert_eq!(h.quantile(0.0), 2);
-        assert_eq!(h.quantile(0.5), 2);
-        assert_eq!(h.quantile(1.0), 2);
+        assert_eq!(quantile(&h, 0.0), 2);
+        assert_eq!(quantile(&h, 0.5), 2);
+        assert_eq!(quantile(&h, 1.0), 2);
         // Add huge saturating samples: the high quantiles move to the cap.
         for _ in 0..100 {
             h.record(u64::MAX);
         }
-        assert_eq!(h.quantile(0.5), 2);
+        assert_eq!(quantile(&h, 0.5), 2);
         assert_eq!(
-            h.quantile(1.0),
+            quantile(&h, 1.0),
             Histogram::bucket_upper(HISTOGRAM_BUCKETS - 1)
         );
         assert_eq!(h.count(), 200);
@@ -594,8 +590,14 @@ mod tests {
     #[test]
     fn empty_histogram_quantile_is_zero() {
         let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.quantile(0.99), 0);
+        assert_eq!(
+            Histogram::quantile_of_buckets(&h.snapshot_buckets(), 0.5),
+            0
+        );
+        assert_eq!(
+            Histogram::quantile_of_buckets(&h.snapshot_buckets(), 0.99),
+            0
+        );
     }
 
     #[test]
@@ -606,7 +608,10 @@ mod tests {
         }
         let buckets = h.snapshot_buckets();
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(Histogram::quantile_of_buckets(&buckets, q), h.quantile(q));
+            assert_eq!(
+                Histogram::quantile_of_buckets(&buckets, q),
+                Histogram::quantile_of_buckets(&h.snapshot_buckets(), q)
+            );
         }
         assert_eq!(Histogram::quantile_of_buckets(&[], 0.5), 0);
     }

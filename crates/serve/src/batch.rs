@@ -17,7 +17,7 @@
 //! never kill the scorer loop or starve the batch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use maleva_nn::{Network, NnError};
@@ -30,8 +30,9 @@ use crate::fault::{FaultInjector, FaultSite};
 pub struct ScoreJob {
     /// Transformed feature row (already through the feature pipeline).
     pub features: Vec<f64>,
-    /// Quantized cache key for post-scoring insertion.
-    pub cache_key: Vec<i64>,
+    /// Quantized cache key for post-scoring insertion, shared with the
+    /// request's sentinel record.
+    pub cache_key: Arc<[i64]>,
     /// Where the scorer sends the result: the score, or the typed
     /// error for a row that failed in isolation.
     pub reply: mpsc::Sender<Result<ScoredReply, ServeError>>,
@@ -53,7 +54,7 @@ impl ScoreJob {
     /// caller sets `trace_id` / `client_span` when the wire carried one.
     pub fn new(
         features: Vec<f64>,
-        cache_key: Vec<i64>,
+        cache_key: Arc<[i64]>,
         reply: mpsc::Sender<Result<ScoredReply, ServeError>>,
     ) -> Self {
         let now = Instant::now();
@@ -365,7 +366,7 @@ mod tests {
         let (tx, rx) = mpsc::sync_channel::<ScoreJob>(16);
         let (reply, _keep) = mpsc::channel();
         for _ in 0..5 {
-            tx.try_send(ScoreJob::new(vec![0.0; 4], vec![], reply.clone()))
+            tx.try_send(ScoreJob::new(vec![0.0; 4], Arc::from([]), reply.clone()))
                 .unwrap();
         }
         let batch = collect_batch(&rx, 3, Duration::from_millis(50)).unwrap();
@@ -386,7 +387,7 @@ mod tests {
         let (tx, rx) = mpsc::sync_channel::<ScoreJob>(4);
         let (reply, _keep) = mpsc::channel();
         for _ in 0..2 {
-            tx.try_send(ScoreJob::new(vec![], vec![], reply.clone()))
+            tx.try_send(ScoreJob::new(vec![], Arc::from([]), reply.clone()))
                 .unwrap();
         }
         drop(tx);
@@ -399,7 +400,7 @@ mod tests {
     fn collect_batch_stamps_received_at_per_job() {
         let (tx, rx) = mpsc::sync_channel::<ScoreJob>(4);
         let (reply, _keep) = mpsc::channel();
-        let job = ScoreJob::new(vec![], vec![], reply.clone());
+        let job = ScoreJob::new(vec![], Arc::from([]), reply.clone());
         let enqueued = job.enqueued_at;
         tx.try_send(job).unwrap();
         std::thread::sleep(Duration::from_millis(5));

@@ -10,9 +10,13 @@
 //!
 //! The implementation is a classic vec-backed doubly-linked list +
 //! `HashMap` index: O(1) get/insert/evict, no external dependencies.
+//! The server keys it by `Arc<[i64]>` (`quantize_shared`), so the
+//! index and the list node share one copy of each key.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Fixed-point quantization resolution for cache keys: features (which
 /// live in `[0, 1]`) are rounded to multiples of `1 / QUANT`.
@@ -23,20 +27,25 @@ pub const QUANT: f64 = 1e9;
 /// Non-finite entries map to sentinel values so a (guarded-against
 /// upstream, but defensively handled) NaN can never poison key equality.
 pub fn quantize(features: &[f64]) -> Vec<i64> {
-    features
-        .iter()
-        .map(|&v| {
-            if v.is_finite() {
-                (v * QUANT).round() as i64
-            } else if v.is_nan() {
-                i64::MIN
-            } else if v > 0.0 {
-                i64::MAX
-            } else {
-                i64::MIN + 1
-            }
-        })
-        .collect()
+    features.iter().map(|&v| quantize_one(v)).collect()
+}
+
+/// [`quantize`] into a key the cache, the scorer and the sentinel share
+/// by reference count, built in one allocation.
+pub(crate) fn quantize_shared(features: &[f64]) -> Arc<[i64]> {
+    features.iter().map(|&v| quantize_one(v)).collect()
+}
+
+fn quantize_one(v: f64) -> i64 {
+    if v.is_finite() {
+        (v * QUANT).round() as i64
+    } else if v.is_nan() {
+        i64::MIN
+    } else if v > 0.0 {
+        i64::MAX
+    } else {
+        i64::MIN + 1
+    }
 }
 
 struct Node<K, V> {
@@ -90,7 +99,11 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Looks `key` up, marking it most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<V> {
+    pub fn get<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let &idx = self.map.get(key)?;
         self.detach(idx);
         self.attach_front(idx);
@@ -249,5 +262,22 @@ mod tests {
         assert_eq!(a, b, "sub-resolution noise shares a key");
         let weird = quantize(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
         assert_eq!(weird, vec![i64::MIN, i64::MAX, i64::MIN + 1]);
+        let features = [0.5, 1e-10, 0.0, f64::NAN, -f64::INFINITY];
+        assert_eq!(*quantize_shared(&features), *quantize(&features));
+    }
+
+    #[test]
+    fn shared_keys_are_stored_once_and_found_by_slice() {
+        let mut c: LruCache<Arc<[i64]>, f64> = LruCache::new(2);
+        let key: Arc<[i64]> = Arc::from(vec![1, 2, 3]);
+        c.insert(Arc::clone(&key), 0.5);
+        // The caller's handle, the index and the list node: one copy.
+        assert_eq!(Arc::strong_count(&key), 3);
+        assert_eq!(c.get(&[1, 2, 3][..]), Some(0.5));
+        assert_eq!(c.get(&key), Some(0.5));
+        c.insert(Arc::from(vec![4]), 0.25);
+        c.insert(Arc::from(vec![5]), 0.75);
+        assert_eq!(c.get(&[1, 2, 3][..]), None, "evicted");
+        assert_eq!(Arc::strong_count(&key), 1, "eviction drops both references");
     }
 }

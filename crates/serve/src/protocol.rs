@@ -60,10 +60,16 @@
 //! Counts are validated strictly — finite, non-negative, integral, and
 //! at most `u32::MAX` — because the features are API-call counts; any
 //! violation yields a typed [`ServeError`], never a panic.
+//!
+//! [`parse_request`] reads a request line in one pass over its bytes:
+//! the `features` array goes straight into the count vector and no
+//! JSON tree is built. It accepts exactly the JSON the vendored
+//! `serde_json` parser accepts, so a line is malformed for one exactly
+//! when it is malformed for the other.
 
-use maleva_wire::Json;
+use std::borrow::Cow;
+
 pub use maleva_wire::{HealthReport, ScoreResponse};
-use serde::Content;
 
 use crate::error::ServeError;
 
@@ -121,151 +127,619 @@ pub enum Request {
 /// Parses one request line against the detector's feature
 /// dimensionality.
 ///
+/// Errors come in a fixed order of precedence:
+///
+/// 1. malformed JSON anywhere on the line;
+/// 2. a line that is not an object; then, if the object has a `cmd`,
+///    whatever that command makes of it; else a missing or non-array
+///    `features` (all `unknown_command`);
+/// 3. a `features` array whose length is not `dim`;
+/// 4. the first entry that is not a count;
+/// 5. a bad `client_id`, then a bad `trace_id`, then a bad `span_id`,
+///    which is read only when a `trace_id` is present.
+///
+/// Of two members with the same key, the first wins.
+///
 /// # Errors
 ///
 /// Returns the [`ServeError`] that should be sent back on the wire:
 /// [`ServeError::MalformedJson`], [`ServeError::UnknownCommand`],
 /// [`ServeError::WrongDimension`], or [`ServeError::InvalidFeature`].
 pub fn parse_request(line: &str, dim: usize) -> Result<Request, ServeError> {
-    let value = serde_json::from_str::<Json>(line)
-        .map_err(|e| ServeError::MalformedJson {
-            detail: e.to_string(),
-        })?
-        .into_content();
-    let Content::Map(entries) = value else {
-        return Err(ServeError::UnknownCommand {
-            command: format!("non-object request ({})", type_name(&value)),
-        });
+    let mut scan = Scanner {
+        text: line,
+        bytes: line.as_bytes(),
+        pos: 0,
     };
-    if let Some((_, cmd)) = entries.iter().find(|(k, _)| k == "cmd") {
-        return match cmd {
-            Content::Str(s) if s == "stats" => Ok(Request::Stats),
-            Content::Str(s) if s == "metrics" => Ok(Request::Metrics),
-            Content::Str(s) if s == "health" => Ok(Request::Health),
-            Content::Str(s) if s == "sentinel" => Ok(Request::Sentinel),
-            Content::Str(s) if s == "slo" => Ok(Request::Slo),
-            Content::Str(s) if s == "reload" => match entries.iter().find(|(k, _)| k == "path") {
-                Some((_, Content::Str(path))) if !path.is_empty() => {
-                    Ok(Request::Reload { path: path.clone() })
-                }
-                Some((_, other)) => Err(ServeError::UnknownCommand {
-                    command: format!(
-                        "reload path must be a non-empty string ({})",
-                        type_name(other)
-                    ),
-                }),
-                None => Err(ServeError::UnknownCommand {
-                    command: "reload requires a \"path\"".to_string(),
-                }),
-            },
-            Content::Str(s) if s == "shutdown" => Ok(Request::Shutdown),
-            Content::Str(other) => Err(ServeError::UnknownCommand {
-                command: other.clone(),
-            }),
-            other => Err(ServeError::UnknownCommand {
-                command: format!("non-string cmd ({})", type_name(other)),
+    scan.skip_ws();
+    let request = if scan.peek() == Some(b'{') {
+        scan.object(dim)?.into_request(dim)
+    } else {
+        let kind = scan.skip_value()?;
+        Err(unknown(format!("non-object request ({})", kind.name())))
+    };
+    scan.skip_ws();
+    if scan.pos != scan.bytes.len() {
+        return Err(scan.malformed("trailing characters"));
+    }
+    request
+}
+
+fn unknown(command: impl Into<String>) -> ServeError {
+    ServeError::UnknownCommand {
+        command: command.into(),
+    }
+}
+
+/// The kind of a JSON value, as shape errors name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Null,
+    True,
+    False,
+    Number,
+    String,
+    Array,
+    Object,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Null => "null",
+            Kind::True | Kind::False => "bool",
+            Kind::Number => "number",
+            Kind::String => "string",
+            Kind::Array => "array",
+            Kind::Object => "object",
+        }
+    }
+}
+
+/// A number literal, typed the way the vendored parser types it: an
+/// integer literal is unsigned if it fits a `u64`, else signed if it
+/// fits an `i64`; anything else is a float.
+enum Number {
+    Unsigned(u64),
+    Signed(i64),
+    Float(f64),
+}
+
+/// A scalar field of the request object, kept only as far as a request
+/// can use it.
+enum Field<'a> {
+    Str(Cow<'a, str>),
+    Unsigned(u64),
+    Other(Kind),
+}
+
+impl Field<'_> {
+    fn kind(&self) -> Kind {
+        match self {
+            Field::Str(_) => Kind::String,
+            Field::Unsigned(_) => Kind::Number,
+            Field::Other(kind) => *kind,
+        }
+    }
+}
+
+/// What the `features` entry held.
+enum Features {
+    /// Something other than an array.
+    NotArray(Kind),
+    /// An array of `len` entries: their counts, kept while `len <= dim`,
+    /// and the index and value of the first entry that is not a count.
+    Array {
+        counts: Vec<u32>,
+        len: usize,
+        invalid: Option<(usize, f64)>,
+    },
+}
+
+/// The first occurrence of each key a request reads.
+#[derive(Default)]
+struct Fields<'a> {
+    cmd: Option<Field<'a>>,
+    path: Option<Field<'a>>,
+    features: Option<Features>,
+    client_id: Option<Field<'a>>,
+    trace_id: Option<Field<'a>>,
+    span_id: Option<Field<'a>>,
+}
+
+impl Fields<'_> {
+    fn into_request(self, dim: usize) -> Result<Request, ServeError> {
+        if let Some(cmd) = self.cmd {
+            return command(cmd, self.path);
+        }
+        let (counts, len, invalid) = match self.features {
+            None => return Err(unknown("object with neither \"features\" nor \"cmd\"")),
+            Some(Features::NotArray(kind)) => {
+                return Err(unknown(format!("non-array features ({})", kind.name())))
+            }
+            Some(Features::Array {
+                counts,
+                len,
+                invalid,
+            }) => (counts, len, invalid),
+        };
+        if len != dim {
+            return Err(ServeError::WrongDimension {
+                expected: dim,
+                actual: len,
+            });
+        }
+        if let Some((index, value)) = invalid {
+            return Err(ServeError::InvalidFeature { index, value });
+        }
+        let client_id = match self.client_id {
+            None => None,
+            Some(Field::Str(s)) if !s.is_empty() && s.len() <= MAX_CLIENT_ID_BYTES => {
+                Some(s.into_owned())
+            }
+            Some(Field::Str(_)) => {
+                return Err(unknown(format!(
+                    "client_id must be 1..={MAX_CLIENT_ID_BYTES} bytes"
+                )))
+            }
+            Some(other) => {
+                return Err(unknown(format!(
+                    "non-string client_id ({})",
+                    other.kind().name()
+                )))
+            }
+        };
+        let trace = match trace_id(self.trace_id, "trace_id")? {
+            None => None,
+            Some(trace_id) => Some(TraceContext {
+                trace_id,
+                span_id: self::trace_id(self.span_id, "span_id")?.unwrap_or(0),
             }),
         };
+        Ok(Request::Score {
+            counts,
+            client_id,
+            trace,
+        })
     }
-    let Some((_, features)) = entries.iter().find(|(k, _)| k == "features") else {
-        return Err(ServeError::UnknownCommand {
-            command: "object with neither \"features\" nor \"cmd\"".to_string(),
-        });
-    };
-    let Content::Seq(values) = features else {
-        return Err(ServeError::UnknownCommand {
-            command: format!("non-array features ({})", type_name(features)),
-        });
-    };
-    if values.len() != dim {
-        return Err(ServeError::WrongDimension {
-            expected: dim,
-            actual: values.len(),
-        });
-    }
-    let mut counts = Vec::with_capacity(dim);
-    for (index, entry) in values.iter().enumerate() {
-        counts.push(parse_count(index, entry)?);
-    }
-    let client_id = match entries.iter().find(|(k, _)| k == "client_id") {
-        None => None,
-        Some((_, Content::Str(s))) if !s.is_empty() && s.len() <= MAX_CLIENT_ID_BYTES => {
-            Some(s.clone())
-        }
-        Some((_, Content::Str(_))) => {
-            return Err(ServeError::UnknownCommand {
-                command: format!("client_id must be 1..={MAX_CLIENT_ID_BYTES} bytes"),
-            });
-        }
-        Some((_, other)) => {
-            return Err(ServeError::UnknownCommand {
-                command: format!("non-string client_id ({})", type_name(other)),
-            });
-        }
-    };
-    let trace = match parse_trace_field(&entries, "trace_id")? {
-        None => None,
-        Some(trace_id) => Some(TraceContext {
-            trace_id,
-            span_id: parse_trace_field(&entries, "span_id")?.unwrap_or(0),
-        }),
-    };
-    Ok(Request::Score {
-        counts,
-        client_id,
-        trace,
-    })
 }
 
-/// Reads an optional trace-context id (`trace_id` / `span_id`): absent
-/// is `None`; present must be a nonzero unsigned integer.
-fn parse_trace_field(entries: &[(String, Content)], key: &str) -> Result<Option<u64>, ServeError> {
-    match entries.iter().find(|(k, _)| k == key) {
+/// A `cmd` request; `path` is read only by `reload`.
+fn command(cmd: Field<'_>, path: Option<Field<'_>>) -> Result<Request, ServeError> {
+    let name = match cmd {
+        Field::Str(name) => name,
+        other => return Err(unknown(format!("non-string cmd ({})", other.kind().name()))),
+    };
+    match &*name {
+        "stats" => Ok(Request::Stats),
+        "metrics" => Ok(Request::Metrics),
+        "health" => Ok(Request::Health),
+        "sentinel" => Ok(Request::Sentinel),
+        "slo" => Ok(Request::Slo),
+        "reload" => match path {
+            Some(Field::Str(path)) if !path.is_empty() => Ok(Request::Reload {
+                path: path.into_owned(),
+            }),
+            Some(other) => Err(unknown(format!(
+                "reload path must be a non-empty string ({})",
+                other.kind().name()
+            ))),
+            None => Err(unknown("reload requires a \"path\"")),
+        },
+        "shutdown" => Ok(Request::Shutdown),
+        _ => Err(unknown(name)),
+    }
+}
+
+/// An optional trace-context id (`trace_id` / `span_id`): absent is
+/// `None`; present must be a nonzero unsigned integer.
+fn trace_id(field: Option<Field<'_>>, key: &str) -> Result<Option<u64>, ServeError> {
+    match field {
         None => Ok(None),
-        Some((_, Content::U64(v))) if *v > 0 => Ok(Some(*v)),
-        Some((_, other)) => Err(ServeError::UnknownCommand {
-            command: format!("{key} must be a nonzero u64 ({})", type_name(other)),
-        }),
+        Some(Field::Unsigned(v)) if v > 0 => Ok(Some(v)),
+        Some(other) => Err(unknown(format!(
+            "{key} must be a nonzero u64 ({})",
+            other.kind().name()
+        ))),
     }
 }
 
-/// Validates one `features` entry as an API-call count.
-fn parse_count(index: usize, entry: &Content) -> Result<u32, ServeError> {
-    match *entry {
-        Content::U64(v) if v <= u32::MAX as u64 => Ok(v as u32),
-        Content::U64(v) => Err(ServeError::InvalidFeature {
-            index,
-            value: v as f64,
-        }),
-        Content::I64(v) => Err(ServeError::InvalidFeature {
-            index,
-            value: v as f64,
-        }),
-        Content::F64(v) => {
-            if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= u32::MAX as f64 {
-                Ok(v as u32)
-            } else {
-                Err(ServeError::InvalidFeature { index, value: v })
+/// A cursor over one request line. Every method that reads a value
+/// expects the cursor on its first byte and leaves it just past the
+/// value.
+struct Scanner<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn malformed(&self, what: &str) -> ServeError {
+        ServeError::MalformedJson {
+            detail: format!("JSON error: {what} at byte {}", self.pos),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    /// Consumes `b` if it is the next byte.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), ServeError> {
+        if self.eat(b) {
+            Ok(())
+        } else {
+            Err(self.malformed(&format!("expected `{}`", b as char)))
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// The request object, keeping the first occurrence of each key a
+    /// request reads and validating everything else.
+    fn object(&mut self, dim: usize) -> Result<Fields<'a>, ServeError> {
+        self.pos += 1;
+        let mut fields = Fields::default();
+        self.skip_ws();
+        if self.eat(b'}') {
+            return Ok(fields);
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let slot = match &*key {
+                "features" if fields.features.is_none() => {
+                    fields.features = Some(self.features(dim)?);
+                    None
+                }
+                "cmd" => Some(&mut fields.cmd),
+                "path" => Some(&mut fields.path),
+                "client_id" => Some(&mut fields.client_id),
+                "trace_id" => Some(&mut fields.trace_id),
+                "span_id" => Some(&mut fields.span_id),
+                _ => {
+                    self.skip_value()?;
+                    None
+                }
+            };
+            if let Some(slot) = slot {
+                let field = self.field()?;
+                slot.get_or_insert(field);
+            }
+            self.skip_ws();
+            if self.eat(b'}') {
+                return Ok(fields);
+            }
+            if !self.eat(b',') {
+                return Err(self.malformed("expected `,` or `}`"));
             }
         }
-        ref other => Err(ServeError::InvalidFeature {
-            index,
-            value: match other {
-                Content::Bool(true) => 1.0,
-                _ => f64::NAN,
-            },
-        }),
     }
-}
 
-fn type_name(v: &Content) -> &'static str {
-    match v {
-        Content::Null => "null",
-        Content::Bool(_) => "bool",
-        Content::U64(_) | Content::I64(_) | Content::F64(_) => "number",
-        Content::Str(_) => "string",
-        Content::Seq(_) => "array",
-        Content::Map(_) => "object",
+    /// A scalar field; containers are validated and kept as their kind.
+    fn field(&mut self) -> Result<Field<'a>, ServeError> {
+        Ok(match self.peek() {
+            Some(b'"') => Field::Str(self.string()?),
+            Some(b'-' | b'0'..=b'9') => match self.number()? {
+                Number::Unsigned(v) => Field::Unsigned(v),
+                Number::Signed(_) | Number::Float(_) => Field::Other(Kind::Number),
+            },
+            _ => Field::Other(self.skip_value()?),
+        })
+    }
+
+    /// The `features` value, its entries read straight into counts.
+    fn features(&mut self, dim: usize) -> Result<Features, ServeError> {
+        if !self.eat(b'[') {
+            return Ok(Features::NotArray(self.skip_value()?));
+        }
+        let mut counts = Vec::with_capacity(dim);
+        let mut len = 0;
+        let mut invalid = None;
+        self.skip_ws();
+        if !self.eat(b']') {
+            loop {
+                let (read, closed) = self.compact_counts(dim, len, &mut counts);
+                len += read;
+                if closed {
+                    break;
+                }
+                // One entry in any other form.
+                self.skip_ws();
+                match self.count()? {
+                    Ok(count) if len < dim => counts.push(count),
+                    Ok(_) => {}
+                    Err(value) => {
+                        invalid.get_or_insert((len, value));
+                    }
+                }
+                len += 1;
+                self.skip_ws();
+                if self.eat(b']') {
+                    break;
+                }
+                if !self.eat(b',') {
+                    return Err(self.malformed("expected `,` or `]`"));
+                }
+            }
+        }
+        Ok(Features::Array {
+            counts,
+            len,
+            invalid,
+        })
+    }
+
+    /// Reads entries in the form the client writes them — one to nine
+    /// digits directly followed by `,` or `]`, always a valid count — in
+    /// one pass over the bytes, keeping counts while the array holds at
+    /// most `dim`. Stops on the first entry in any other form, with the
+    /// cursor on it, or past the `]`. Returns the number of entries read
+    /// (`before` were read already) and whether the array closed.
+    fn compact_counts(
+        &mut self,
+        dim: usize,
+        before: usize,
+        counts: &mut Vec<u32>,
+    ) -> (usize, bool) {
+        let start = self.pos;
+        let mut entry = 0;
+        let mut value = 0u32;
+        let mut read = 0;
+        for (i, &b) in self.bytes[start..].iter().enumerate() {
+            match b {
+                b'0'..=b'9' if i - entry < 9 => value = value * 10 + u32::from(b - b'0'),
+                b',' | b']' if i > entry => {
+                    if before + read < dim {
+                        counts.push(value);
+                    }
+                    read += 1;
+                    value = 0;
+                    entry = i + 1;
+                    if b == b']' {
+                        break;
+                    }
+                }
+                _ => break,
+            }
+        }
+        self.pos = start + entry;
+        let closed = entry > 0 && self.bytes[self.pos - 1] == b']';
+        (read, closed)
+    }
+
+    /// One `features` entry in any form: a count, or the value an
+    /// `invalid_feature` error reports for it.
+    fn count(&mut self) -> Result<Result<u32, f64>, ServeError> {
+        Ok(match self.peek() {
+            Some(b'-' | b'0'..=b'9') => match self.number()? {
+                Number::Unsigned(v) => u32::try_from(v).map_err(|_| v as f64),
+                Number::Signed(v) => Err(v as f64),
+                Number::Float(v) => {
+                    if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= u32::MAX as f64 {
+                        Ok(v as u32)
+                    } else {
+                        Err(v)
+                    }
+                }
+            },
+            _ => Err(match self.skip_value()? {
+                Kind::True => 1.0,
+                _ => f64::NAN,
+            }),
+        })
+    }
+
+    /// A number literal: an optional `-`, then every following digit,
+    /// `.`, `e`, `E`, `+` or `-`, parsed as a whole.
+    fn number(&mut self) -> Result<Number, ServeError> {
+        let start = self.pos;
+        self.eat(b'-');
+        let mut integer = true;
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => integer = false,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        if integer {
+            if let Ok(v) = text.parse() {
+                return Ok(Number::Unsigned(v));
+            }
+            if let Ok(v) = text.parse() {
+                return Ok(Number::Signed(v));
+            }
+        }
+        text.parse()
+            .map(Number::Float)
+            .map_err(|_| self.malformed(&format!("invalid number `{text}`")))
+    }
+
+    /// A string, borrowed from the line unless it holds escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, ServeError> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.skip_plain();
+        if self.eat(b'"') {
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
+        loop {
+            match self.peek() {
+                None => return Err(self.malformed("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                Some(_) => {
+                    // The plain run stopped at a backslash.
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                    let run = self.pos;
+                    self.skip_plain();
+                    out.push_str(&self.text[run..self.pos]);
+                }
+            }
+        }
+    }
+
+    /// Skips to the next `"` or `\` (both ASCII, so the run ends on a
+    /// char boundary) or to the end of the line.
+    fn skip_plain(&mut self) {
+        self.pos += self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(self.bytes.len() - self.pos);
+    }
+
+    /// The character of the escape after a backslash.
+    fn escape(&mut self) -> Result<char, ServeError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'u') => {
+                self.pos += 1;
+                let cp = self.hex4()?;
+                if !(0xD800..0xDC00).contains(&cp) {
+                    return char::from_u32(cp).ok_or_else(|| self.malformed("invalid \\u escape"));
+                }
+                // A high surrogate: a `\u` low one must follow.
+                self.expect(b'\\')?;
+                self.expect(b'u')?;
+                let low = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&low) {
+                    return Err(self.malformed("invalid low surrogate"));
+                }
+                return char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00))
+                    .ok_or_else(|| self.malformed("invalid surrogate pair"));
+            }
+            _ => return Err(self.malformed("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// The four hex digits of a `\u` escape, read as `u32::from_str_radix`
+    /// reads them.
+    fn hex4(&mut self) -> Result<u32, ServeError> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.malformed("truncated \\u escape"))?;
+        let cp = std::str::from_utf8(digits)
+            .ok()
+            .and_then(|text| u32::from_str_radix(text, 16).ok())
+            .ok_or_else(|| self.malformed("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(cp)
+    }
+
+    fn keyword(&mut self, word: &str, kind: Kind) -> Result<Kind, ServeError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(kind)
+        } else {
+            Err(self.malformed(&format!("expected `{word}`")))
+        }
+    }
+
+    /// Validates one value of any shape without keeping it and returns
+    /// its kind. Nested containers are tracked on a stack of their
+    /// closing bytes rather than by recursion, so no line can exhaust
+    /// the thread's stack however deep it nests.
+    fn skip_value(&mut self) -> Result<Kind, ServeError> {
+        let mut open: Vec<u8> = Vec::new();
+        let mut outer = None;
+        loop {
+            let kind = match self.peek() {
+                Some(b @ (b'[' | b'{')) => {
+                    let (close, kind) = if b == b'[' {
+                        (b']', Kind::Array)
+                    } else {
+                        (b'}', Kind::Object)
+                    };
+                    self.pos += 1;
+                    self.skip_ws();
+                    if !self.eat(close) {
+                        outer.get_or_insert(kind);
+                        open.push(close);
+                        if close == b'}' {
+                            self.member_key()?;
+                        }
+                        continue;
+                    }
+                    kind
+                }
+                Some(b'"') => {
+                    self.string()?;
+                    Kind::String
+                }
+                Some(b'-' | b'0'..=b'9') => {
+                    self.number()?;
+                    Kind::Number
+                }
+                Some(b'n') => self.keyword("null", Kind::Null)?,
+                Some(b't') => self.keyword("true", Kind::True)?,
+                Some(b'f') => self.keyword("false", Kind::False)?,
+                Some(b) => return Err(self.malformed(&format!("unexpected byte `{}`", b as char))),
+                None => return Err(self.malformed("unexpected end of input")),
+            };
+            let top = *outer.get_or_insert(kind);
+            // Close every container this value completes, up to the
+            // next member or the end of the outermost value.
+            loop {
+                let Some(&close) = open.last() else {
+                    return Ok(top);
+                };
+                self.skip_ws();
+                if self.eat(b',') {
+                    self.skip_ws();
+                    if close == b'}' {
+                        self.member_key()?;
+                    }
+                    break;
+                }
+                if !self.eat(close) {
+                    return Err(self.malformed(if close == b']' {
+                        "expected `,` or `]`"
+                    } else {
+                        "expected `,` or `}`"
+                    }));
+                }
+                open.pop();
+            }
+        }
+    }
+
+    /// An object member's key and colon, leaving the cursor on its value.
+    fn member_key(&mut self) -> Result<(), ServeError> {
+        self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(())
     }
 }
 
@@ -287,9 +761,10 @@ fn encode_internal_error(what: &str) -> String {
 mod tests {
     use super::*;
     use maleva_wire::{
-        encode, MetricsSnapshot, ReloadAck, SentinelClientReport, SentinelReport, SloAlarmReport,
-        SloReport, SloWindowReport, Stats,
+        encode, Json, MetricsSnapshot, ReloadAck, SentinelClientReport, SentinelReport,
+        SloAlarmReport, SloReport, SloWindowReport, Stats,
     };
+    use serde::Content;
 
     #[test]
     fn parses_a_well_formed_score_request() {

@@ -32,7 +32,9 @@
 //! plausible but seed-randomized scores so the harvested labels train a
 //! garbage substitute.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 pub use maleva_wire::{SentinelClientReport, SentinelReport};
@@ -156,7 +158,8 @@ struct WindowSlot {
 /// *distinct* key instead of once per query; every repeat is a hash
 /// lookup.
 struct DistinctKey {
-    key: Vec<i64>,
+    /// Shared with the score cache's entry for the same features.
+    key: Arc<[i64]>,
     /// Windowed queries holding this key; the entry dies at zero.
     refs: usize,
     /// Windowed queries with this key answered `true` / `false`
@@ -328,8 +331,15 @@ impl Sentinel {
     /// Records one query from `client_id` with its quantized feature
     /// key and the verdict the client saw (`None` when the query was
     /// refused before scoring). Returns what was observed so the caller
-    /// can bump metrics.
-    pub fn record(&mut self, client_id: &str, key: Vec<i64>, verdict: Option<bool>) -> Observed {
+    /// can bump metrics. A key that enters the client's distinct-key
+    /// index is kept as an `Arc`, so the server's key (already an
+    /// `Arc`, shared with its cache) is stored without a copy.
+    pub fn record(
+        &mut self,
+        client_id: &str,
+        key: impl Into<Arc<[i64]>> + Borrow<[i64]>,
+        verdict: Option<bool>,
+    ) -> Observed {
         if !self.config.enabled {
             return Observed::default();
         }
@@ -360,7 +370,7 @@ impl Sentinel {
         // key (the entire benign steady state) is one hash lookup; only
         // a never-seen key pays the Hamming scan, and only against
         // *distinct* windowed keys.
-        let fp = fingerprint(&key);
+        let fp = fingerprint(key.borrow());
         let mut near_duplicate = false;
         let mut verdict_flip = false;
         let mut tracked = true;
@@ -370,7 +380,7 @@ impl Sentinel {
                 .is_some_and(|n| if v { n.false_refs > 0 } else { n.true_refs > 0 })
         };
         let new_neighbours = match state.distinct.get(&fp) {
-            Some(entry) if entry.key == key => {
+            Some(entry) if *entry.key == *key.borrow() => {
                 // Exact repeat of a windowed key: its neighbourhood is
                 // already known. Distance-0 priors never count, so the
                 // repeat itself is not evidence — only live neighbours.
@@ -390,7 +400,7 @@ impl Sentinel {
                 let mut near = Vec::new();
                 for (other_fp, other) in &state.distinct {
                     let (d, exceeded) =
-                        hamming_exceeds(&other.key, &key, self.config.hamming_threshold);
+                        hamming_exceeds(&other.key, key.borrow(), self.config.hamming_threshold);
                     if !exceeded && d > 0 {
                         near.push(*other_fp);
                     }
@@ -410,7 +420,7 @@ impl Sentinel {
                     }
                 }
                 let mut entry = DistinctKey {
-                    key,
+                    key: key.into(),
                     refs: 1,
                     true_refs: 0,
                     false_refs: 0,

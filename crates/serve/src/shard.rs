@@ -29,7 +29,7 @@ use maleva_obs::trace::{self, Span};
 use maleva_wire as wire;
 
 use crate::batch::{collect_batch, score_rows_isolated, ScoreJob, ScoredReply};
-use crate::cache::{quantize, LruCache};
+use crate::cache::{quantize_shared, LruCache};
 use crate::error::ServeError;
 use crate::fault::FaultSite;
 use crate::metrics::{Metrics, StageTimes};
@@ -37,6 +37,9 @@ use crate::protocol::{self, Request, ScoreResponse, TraceContext};
 use crate::reactor::{self, Event, Interest, Poller, Waker};
 use crate::sentinel::{poison_score, Sentinel, SentinelDecision};
 use crate::server::{self, suggested_retry_after_ms, Shared, READ_TICK};
+
+/// A shard's score cache: quantized key → (score, model generation).
+type ScoreCache = LruCache<Arc<[i64]>, (f64, u64)>;
 
 /// Everything one shard owns: its metrics, cache, sentinel window, and
 /// the handles other threads use to reach it (connection hand-off plus
@@ -49,8 +52,9 @@ pub(crate) struct ShardState {
     pub(crate) metrics: Metrics,
     /// Score cache, keyed by quantized features; values carry the model
     /// generation that produced them so a reload lazily invalidates
-    /// stale entries on lookup.
-    pub(crate) cache: Mutex<LruCache<Vec<i64>, (f64, u64)>>,
+    /// stale entries on lookup. A key is one allocation, shared with the
+    /// request's job and the sentinel's distinct-key index.
+    pub(crate) cache: Mutex<ScoreCache>,
     /// Per-client extraction-sentinel window for connections pinned to
     /// this shard.
     pub(crate) sentinel: Mutex<Sentinel>,
@@ -110,7 +114,7 @@ struct Pending {
     deadline: Instant,
     /// Cache key to record in the sentinel on completion (`None` when
     /// the sentinel is disabled).
-    sentinel_key: Option<Vec<i64>>,
+    sentinel_key: Option<Arc<[i64]>>,
     /// Whether the sentinel flagged this client for verdict poisoning.
     poison: bool,
     client_id: String,
@@ -265,38 +269,42 @@ fn read_ready(conn: &mut Conn) {
     }
 }
 
-/// What [`extract_line`] produced this call.
+/// What [`extract_line`] found at the front of the buffer.
+#[derive(Debug, PartialEq, Eq)]
 enum LineStatus {
-    /// A complete request line (newline stripped; `\r\n` tolerated).
-    Line(String),
+    /// A complete request line: `inbuf[..end]` is its text (newline
+    /// stripped; `\r\n` tolerated) and `inbuf[..next]` what it consumes.
+    Line { end: usize, next: usize },
     /// The line exceeded the configured limit.
     TooLong,
     /// No complete line buffered yet.
     NotYet,
 }
 
-/// Pops the next line off the buffer. An oversized line is detected as
-/// soon as `limit + 1` bytes are buffered without a newline, without
-/// waiting for the rest. After EOF a final unterminated line is served.
-fn extract_line(conn: &mut Conn, limit: usize) -> LineStatus {
-    if let Some(pos) = conn.inbuf.iter().position(|&b| b == b'\n') {
+/// Finds the next line in the buffer without copying it. An oversized
+/// line is detected as soon as `limit + 1` bytes are buffered without a
+/// newline, without waiting for the rest. After EOF a final
+/// unterminated line is served.
+fn extract_line(inbuf: &[u8], eof: bool, limit: usize) -> LineStatus {
+    if let Some(pos) = inbuf.iter().position(|&b| b == b'\n') {
         if pos > limit {
             return LineStatus::TooLong;
         }
-        let mut line: Vec<u8> = conn.inbuf.drain(..=pos).collect();
-        line.pop();
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        return LineStatus::Line(String::from_utf8_lossy(&line).into_owned());
+        let end = if pos > 0 && inbuf[pos - 1] == b'\r' {
+            pos - 1
+        } else {
+            pos
+        };
+        return LineStatus::Line { end, next: pos + 1 };
     }
-    if conn.inbuf.len() > limit {
+    if inbuf.len() > limit {
         return LineStatus::TooLong;
     }
-    if conn.eof && !conn.inbuf.is_empty() {
-        let line = String::from_utf8_lossy(&conn.inbuf).into_owned();
-        conn.inbuf.clear();
-        return LineStatus::Line(line);
+    if eof && !inbuf.is_empty() {
+        return LineStatus::Line {
+            end: inbuf.len(),
+            next: inbuf.len(),
+        };
     }
     LineStatus::NotYet
 }
@@ -311,7 +319,7 @@ fn process_lines(
 ) {
     let limit = shared.config.max_line_bytes;
     while !conn.dead && conn.pending.is_none() {
-        match extract_line(conn, limit) {
+        match extract_line(&conn.inbuf, conn.eof, limit) {
             LineStatus::NotYet => return,
             LineStatus::TooLong => {
                 // Typed error, then close: the stream is out of sync.
@@ -319,11 +327,19 @@ fn process_lines(
                 conn.dead = true;
                 return;
             }
-            LineStatus::Line(line) => {
+            LineStatus::Line { end, next } => {
                 if shared.fire(&shard.metrics, FaultSite::SlowRead) {
                     std::thread::sleep(shared.injector.delay());
                 }
+                // The line is read in place: the buffer is lent out of
+                // the connection while the line is processed, and valid
+                // UTF-8 (every well-formed request) is never copied.
+                let mut inbuf = std::mem::take(&mut conn.inbuf);
+                let line = String::from_utf8_lossy(&inbuf[..end]);
                 process_line(shared, shard, job_tx, conn, &line);
+                drop(line);
+                inbuf.drain(..next);
+                conn.inbuf = inbuf;
             }
         }
     }
@@ -348,7 +364,7 @@ fn process_line(
         Ok(Request::Stats) => {
             span.record("cmd", "stats");
             let stats = server::read(shared).stats();
-            send_line(shared, shard, conn, &wire::encode(&stats), false);
+            send_line(shared, shard, conn, wire::encode(&stats), false);
         }
         Ok(Request::Metrics) => {
             span.record("cmd", "metrics");
@@ -358,31 +374,37 @@ fn process_line(
         Ok(Request::Health) => {
             span.record("cmd", "health");
             let health = server::health_report(shared);
-            send_line(shared, shard, conn, &wire::encode(&health), false);
+            send_line(shared, shard, conn, wire::encode(&health), false);
         }
         Ok(Request::Sentinel) => {
             span.record("cmd", "sentinel");
             let report = server::sentinel_report(shared);
-            send_line(shared, shard, conn, &wire::encode(&report), false);
+            send_line(shared, shard, conn, wire::encode(&report), false);
         }
         Ok(Request::Slo) => {
             span.record("cmd", "slo");
             let report = server::evaluate_slo(shared);
-            send_line(shared, shard, conn, &wire::encode(&report), false);
+            send_line(shared, shard, conn, wire::encode(&report), false);
         }
         Ok(Request::Reload { path }) => {
             span.record("cmd", "reload");
             match server::do_reload(shared, &path) {
                 Ok(ack) => {
                     span.record("generation", ack.generation);
-                    send_line(shared, shard, conn, &wire::encode(&ack), false);
+                    send_line(shared, shard, conn, wire::encode(&ack), false);
                 }
                 Err(e) => respond_error(shared, shard, conn, &e),
             }
         }
         Ok(Request::Shutdown) => {
             span.record("cmd", "shutdown");
-            send_line(shared, shard, conn, protocol::SHUTDOWN_ACK, false);
+            send_line(
+                shared,
+                shard,
+                conn,
+                protocol::SHUTDOWN_ACK.to_string(),
+                false,
+            );
             shared.trigger_shutdown();
             conn.dead = true;
         }
@@ -445,7 +467,7 @@ fn score_step(
 ) -> ScoreStep {
     let mut stages = StageTimes::default();
     let features = shared.pipeline.features().transform_counts(counts);
-    let cache_key = quantize(&features);
+    let cache_key = quantize_shared(&features);
 
     // The sentinel rules *before* scoring, from recorded history alone,
     // so its decisions are a pure function of (seed, client history).
@@ -484,7 +506,7 @@ fn score_step(
         .cache
         .lock()
         .ok()
-        .and_then(|mut cache| cache.get(&cache_key))
+        .and_then(|mut cache| cache.get(&*cache_key))
         .filter(|(_, cached_generation)| *cached_generation == generation)
         .map(|(score, _)| score);
     stages.cache_lookup += lookup.elapsed();
@@ -496,7 +518,7 @@ fn score_step(
             // History records the *true* verdict so later flip analysis
             // is about the model's boundary, not the poison stream.
             let check = Instant::now();
-            sentinel_record(shard, client_id, cache_key.clone(), Some(score >= 0.5));
+            sentinel_record(shard, client_id, Arc::clone(&cache_key), Some(score >= 0.5));
             stages.sentinel_check += check.elapsed();
         }
         let served = serve_score(shared, shard, poison, score, &cache_key, &mut span);
@@ -537,11 +559,7 @@ fn score_step(
         return ScoreStep::Done(ScoreOutcome::Error(overloaded), span, stages);
     }
 
-    let sentinel_key = if sentinel_on {
-        Some(cache_key.clone())
-    } else {
-        None
-    };
+    let sentinel_key = sentinel_on.then(|| Arc::clone(&cache_key));
     let (reply_tx, reply_rx) = mpsc::channel();
     let mut job = ScoreJob::new(features, cache_key, reply_tx);
     if let Some(t) = trace {
@@ -612,7 +630,7 @@ fn settle_pending(shared: &Arc<Shared>, shard: &ShardState, conn: &mut Conn) {
                 sentinel_record(
                     shard,
                     &pending.client_id,
-                    key.clone(),
+                    Arc::clone(&key),
                     Some(reply.score >= 0.5),
                 );
                 pending.stages.sentinel_check += check.elapsed();
@@ -675,7 +693,7 @@ fn finish_score(
             (wire::encode(&err.body()), true)
         }
     };
-    send_line(shared, shard, conn, &line, faulted);
+    send_line(shared, shard, conn, line, faulted);
     stages.serialize = serialize_start.elapsed();
     shard.metrics.record_stages(stages);
     let [queue_wait, batch_wait, cache_lookup, sentinel_check, inference, serialize] =
@@ -690,7 +708,7 @@ fn finish_score(
 
 /// Records one query in the shard's sentinel and forwards its
 /// observations to the metrics. No-op when the sentinel is disabled.
-fn sentinel_record(shard: &ShardState, client_id: &str, key: Vec<i64>, verdict: Option<bool>) {
+fn sentinel_record(shard: &ShardState, client_id: &str, key: Arc<[i64]>, verdict: Option<bool>) {
     let obs = match shard.sentinel.lock() {
         Ok(mut s) => s.record(client_id, key, verdict),
         Err(_) => return,
@@ -730,12 +748,18 @@ fn serve_score(
 
 fn respond_error(shared: &Arc<Shared>, shard: &ShardState, conn: &mut Conn, err: &ServeError) {
     shard.metrics.errors.inc();
-    send_line(shared, shard, conn, &wire::encode(&err.body()), true);
+    send_line(shared, shard, conn, wire::encode(&err.body()), true);
 }
 
 /// Writes one response line, marking the connection dead on failure;
 /// `faulted` routes through the write-fault sites.
-fn send_line(shared: &Arc<Shared>, shard: &ShardState, conn: &mut Conn, line: &str, faulted: bool) {
+fn send_line(
+    shared: &Arc<Shared>,
+    shard: &ShardState,
+    conn: &mut Conn,
+    line: String,
+    faulted: bool,
+) {
     let result = if faulted {
         write_line_faulted(shared, shard, &mut conn.stream, line)
     } else {
@@ -769,7 +793,7 @@ fn write_line_faulted(
     shared: &Shared,
     shard: &ShardState,
     stream: &mut TcpStream,
-    line: &str,
+    line: String,
 ) -> std::io::Result<()> {
     if shared.fire(&shard.metrics, FaultSite::WriteReset) {
         return Err(std::io::Error::new(
@@ -778,25 +802,42 @@ fn write_line_faulted(
         ));
     }
     if shared.fire(&shard.metrics, FaultSite::SlowWrite) {
-        let bytes = line.as_bytes();
-        let mid = bytes.len() / 2;
-        write_all_blocking(stream, &bytes[..mid])?;
+        let mid = line.len() / 2;
+        let mut line = line.into_bytes();
+        line.push(b'\n');
+        write_all_blocking(stream, &line[..mid])?;
         std::thread::sleep(shared.injector.delay());
-        write_all_blocking(stream, &bytes[mid..])?;
-        return write_all_blocking(stream, b"\n");
+        return write_all_blocking(stream, &line[mid..]);
     }
     write_line(stream, line)
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    write_all_blocking(stream, line.as_bytes())?;
-    write_all_blocking(stream, b"\n")
+/// Writes one reply line and its newline in a single `write`: the
+/// server sets `TCP_NODELAY`, so a newline written apart goes out as a
+/// segment of its own, and the client may wake for the line only to
+/// wait again for the newline.
+fn write_line(stream: &mut impl ReplyStream, line: String) -> std::io::Result<()> {
+    let mut line = line.into_bytes();
+    line.push(b'\n');
+    write_all_blocking(stream, &line)
+}
+
+/// A non-blocking socket a reply is written to, and how to wait until it
+/// drains.
+trait ReplyStream: Write {
+    fn wait_writable(&self, timeout: Duration) -> std::io::Result<bool>;
+}
+
+impl ReplyStream for TcpStream {
+    fn wait_writable(&self, timeout: Duration) -> std::io::Result<bool> {
+        reactor::wait_writable(self, timeout)
+    }
 }
 
 /// `write_all` over a non-blocking socket: on `WouldBlock`, waits for
 /// writability (capped at [`WRITE_STALL_CAP`]) and retries. Responses
 /// are small, so stalls only happen when a peer stops reading.
-fn write_all_blocking(stream: &mut TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
+fn write_all_blocking(stream: &mut impl ReplyStream, mut buf: &[u8]) -> std::io::Result<()> {
     let stall_start = Instant::now();
     while !buf.is_empty() {
         match stream.write(buf) {
@@ -814,7 +855,7 @@ fn write_all_blocking(stream: &mut TcpStream, mut buf: &[u8]) -> std::io::Result
                         "write stalled past the cap",
                     ));
                 }
-                reactor::wait_writable(stream, Duration::from_millis(100))?;
+                stream.wait_writable(Duration::from_millis(100))?;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -896,7 +937,7 @@ pub(crate) fn scorer_loop(
         if let Ok(mut cache) = shard.cache.lock() {
             for (job, score) in jobs.iter().zip(&outcome.scores) {
                 if let Ok(score) = score {
-                    cache.insert(job.cache_key.clone(), (*score, model.generation));
+                    cache.insert(Arc::clone(&job.cache_key), (*score, model.generation));
                 }
             }
         }
@@ -920,5 +961,80 @@ pub(crate) fn scorer_loop(
         // Wake the owning event loop so replies are observed now, not
         // at the next idle tick.
         shard.waker.wake();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reply stream that records every `write` it receives; with a
+    /// `chunk` it takes at most that many bytes per call and answers
+    /// every other call with `WouldBlock`, like a full socket buffer.
+    #[derive(Default)]
+    struct CountingStream {
+        writes: usize,
+        bytes: Vec<u8>,
+        chunk: Option<usize>,
+    }
+
+    impl Write for CountingStream {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let n = match self.chunk {
+                Some(_) if self.writes.is_multiple_of(2) => {
+                    return Err(std::io::ErrorKind::WouldBlock.into());
+                }
+                Some(chunk) => buf.len().min(chunk),
+                None => buf.len(),
+            };
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl ReplyStream for CountingStream {
+        fn wait_writable(&self, _timeout: Duration) -> std::io::Result<bool> {
+            Ok(true)
+        }
+    }
+
+    #[test]
+    fn a_reply_line_goes_out_in_one_write() {
+        let line = protocol::encode_score(&ScoreResponse::new(0.75, false, 3));
+        let mut stream = CountingStream::default();
+        write_line(&mut stream, line.clone()).unwrap();
+        assert_eq!(stream.writes, 1);
+        assert_eq!(stream.bytes, format!("{line}\n").into_bytes());
+    }
+
+    #[test]
+    fn a_stalled_reply_resumes_where_it_stopped() {
+        let line = "x".repeat(50);
+        let mut stream = CountingStream {
+            chunk: Some(8),
+            ..CountingStream::default()
+        };
+        write_line(&mut stream, line.clone()).unwrap();
+        assert_eq!(stream.bytes, format!("{line}\n").into_bytes());
+        assert_eq!(stream.writes, 13, "7 partial writes, 6 refused");
+    }
+
+    #[test]
+    fn lines_are_found_in_place() {
+        let line = |end, next| LineStatus::Line { end, next };
+        assert_eq!(extract_line(b"{}\n{", false, 64), line(2, 3));
+        assert_eq!(extract_line(b"{}\r\n", false, 64), line(2, 4));
+        assert_eq!(extract_line(b"\n", false, 64), line(0, 1));
+        assert_eq!(extract_line(b"{\"a\"", false, 64), LineStatus::NotYet);
+        assert_eq!(extract_line(b"{\"a\"", true, 64), line(4, 4));
+        assert_eq!(extract_line(b"", true, 64), LineStatus::NotYet);
+        assert_eq!(extract_line(b"01234567\n", false, 8), line(8, 9));
+        assert_eq!(extract_line(b"012345678\n", false, 8), LineStatus::TooLong);
+        assert_eq!(extract_line(b"012345678", false, 8), LineStatus::TooLong);
     }
 }

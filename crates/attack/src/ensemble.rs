@@ -19,13 +19,11 @@ pub struct EnsembleJsma {
     pub theta: f64,
     /// Maximum fraction of features that may be modified.
     pub gamma: f64,
-    /// Keep perturbing until the budget is exhausted (high confidence).
-    pub exhaust_budget: bool,
 }
 
 impl EnsembleJsma {
-    /// Creates the ensemble attack (high-confidence mode on by default —
-    /// the whole point is transfer).
+    /// Creates the ensemble attack. It always runs in high-confidence
+    /// mode, spending the whole budget — the whole point is transfer.
     ///
     /// # Panics
     ///
@@ -40,17 +38,7 @@ impl EnsembleJsma {
             (0.0..=1.0).contains(&gamma),
             "gamma must be in [0, 1], got {gamma}"
         );
-        EnsembleJsma {
-            theta,
-            gamma,
-            exhaust_budget: true,
-        }
-    }
-
-    /// Switches to stop-at-first-evasion mode.
-    pub fn with_early_stop(mut self) -> Self {
-        self.exhaust_budget = false;
-        self
+        EnsembleJsma { theta, gamma }
     }
 
     /// The feature budget for `dim` features.
@@ -85,19 +73,7 @@ impl EnsembleJsma {
         let mut order = Vec::new();
         let mut iterations = 0usize;
 
-        let majority_clean = |x: &[f64]| -> Result<bool, NnError> {
-            let xm = Matrix::row_vector(x);
-            let mut clean_votes = 0usize;
-            for m in members {
-                if m.predict(&xm)?[0] == CLEAN_CLASS {
-                    clean_votes += 1;
-                }
-            }
-            Ok(clean_votes * 2 > members.len())
-        };
-
-        let mut evaded = majority_clean(&x)?;
-        while (!evaded || self.exhaust_budget) && order.len() < budget {
+        while order.len() < budget {
             iterations += 1;
             // Mean saliency toward clean over all members.
             let mut mean = vec![0.0f64; dim];
@@ -124,8 +100,17 @@ impl EnsembleJsma {
             x[j] = (x[j] + self.theta).min(1.0);
             perturbed[j] = true;
             order.push(j);
-            evaded = majority_clean(&x)?;
         }
+        // The loop never stops at the first evasion (high-confidence
+        // mode), so only the final sample's vote matters.
+        let xm = Matrix::row_vector(&x);
+        let mut clean_votes = 0usize;
+        for m in members {
+            if m.predict(&xm)?[0] == CLEAN_CLASS {
+                clean_votes += 1;
+            }
+        }
+        let evaded = clean_votes * 2 > members.len();
         Ok(AttackOutcome::new(sample, x, order, evaded, iterations))
     }
 

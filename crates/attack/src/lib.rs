@@ -14,9 +14,8 @@
 //!
 //! Alongside [`Jsma`] the crate ships the paper's **random-noise
 //! baseline** ([`RandomAddition`]; "randomly adding features does not
-//! decrease the detection rates") and a targeted **FGSM**
-//! ([`Fgsm`]) as an extension, plus [`sweep`] — the security-evaluation-
-//! curve runner behind Figures 3 and 4.
+//! decrease the detection rates") and [`sweep`] — the security-
+//! evaluation-curve runner behind Figures 3 and 4.
 //!
 //! # Example
 //!
@@ -51,9 +50,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod adaptive;
-mod cw;
 mod ensemble;
-mod fgsm;
 mod jsma;
 mod outcome;
 pub mod parallel;
@@ -62,9 +59,7 @@ mod random;
 pub mod sweep;
 
 pub use adaptive::SqueezeAwareJsma;
-pub use cw::CarliniWagnerL2;
 pub use ensemble::EnsembleJsma;
-pub use fgsm::Fgsm;
 pub use jsma::{Jsma, SaliencyPolicy};
 pub use outcome::AttackOutcome;
 pub use parallel::{
@@ -86,7 +81,7 @@ pub const MALWARE_CLASS: usize = 1;
 /// A targeted evasion attack: given a detector and one malware feature
 /// vector, produce an adversarial feature vector.
 pub trait EvasionAttack {
-    /// Short display name ("jsma", "fgsm", "random").
+    /// Short display name ("jsma", "random").
     fn name(&self) -> &str;
 
     /// Crafts an adversarial example for `sample` against `net`.

@@ -560,8 +560,7 @@ fn figure2(s: &mut Session) {
     println!("(black-box should be the weakest threat model)\n");
 }
 
-/// Effectiveness ablations for the design choices DESIGN.md calls out
-/// (the matching *cost* ablations are Criterion benches).
+/// Effectiveness ablations for the design choices DESIGN.md calls out.
 fn ablations(s: &mut Session) {
     use maleva_attack::{detection_rate, EvasionAttack, Jsma, SaliencyPolicy};
     use maleva_core::models::{reduced_model, target_model};

@@ -2,17 +2,34 @@ use maleva_apisim::{ApiVocab, Program};
 use maleva_features::FeaturePipeline;
 use maleva_linalg::Matrix;
 use maleva_nn::{Network, NnError};
+use serde::de::Error as _;
+use serde::{Deserialize, Deserializer, Serialize};
 
 /// The end-to-end detector: sandbox log → 491 features → DNN → verdict.
 ///
 /// This is the deployed artifact of the paper's Figure 2 — the thing an
 /// attacker queries. It owns the fitted [`FeaturePipeline`] (the
 /// defender's secret feature engineering) and the trained [`Network`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DetectorPipeline {
     vocab: ApiVocab,
     features: FeaturePipeline,
     network: Network,
+}
+
+/// Loads through [`DetectorPipeline::new`]; the network inside is
+/// validated by its own `Deserialize`.
+impl<'de> Deserialize<'de> for DetectorPipeline {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            vocab: ApiVocab,
+            features: FeaturePipeline,
+            network: Network,
+        }
+        let raw = Raw::deserialize(d)?;
+        DetectorPipeline::new(raw.vocab, raw.features, raw.network).map_err(D::Error::custom)
+    }
 }
 
 impl DetectorPipeline {
@@ -139,18 +156,7 @@ impl DetectorPipeline {
     ///
     /// Returns [`NnError::Serialization`] on encoding failure.
     pub fn to_json(&self) -> Result<String, NnError> {
-        #[derive(serde::Serialize)]
-        struct Raw<'a> {
-            vocab: &'a ApiVocab,
-            features: &'a FeaturePipeline,
-            network: &'a Network,
-        }
-        serde_json::to_string(&Raw {
-            vocab: &self.vocab,
-            features: &self.features,
-            network: &self.network,
-        })
-        .map_err(|e| NnError::Serialization {
+        serde_json::to_string(self).map_err(|e| NnError::Serialization {
             detail: e.to_string(),
         })
     }
@@ -160,19 +166,13 @@ impl DetectorPipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Serialization`] on decode failure and
-    /// [`NnError::InvalidConfig`] if the components do not fit together.
+    /// Returns [`NnError::Serialization`] on decode failure, including
+    /// when the components do not fit together or the network breaks an
+    /// invariant of [`Network::from_layers`].
     pub fn from_json(json: &str) -> Result<Self, NnError> {
-        #[derive(serde::Deserialize)]
-        struct Raw {
-            vocab: ApiVocab,
-            features: FeaturePipeline,
-            network: Network,
-        }
-        let raw: Raw = serde_json::from_str(json).map_err(|e| NnError::Serialization {
+        serde_json::from_str(json).map_err(|e| NnError::Serialization {
             detail: e.to_string(),
-        })?;
-        DetectorPipeline::new(raw.vocab, raw.features, raw.network)
+        })
     }
 }
 
@@ -257,6 +257,7 @@ mod tests {
 mod persistence_tests {
     use super::*;
     use crate::{ExperimentContext, ExperimentScale};
+    use maleva_nn::{Activation, NetworkBuilder};
 
     #[test]
     fn detector_round_trips_through_json() {
@@ -275,5 +276,82 @@ mod persistence_tests {
     fn from_json_rejects_garbage() {
         assert!(DetectorPipeline::from_json("{oops").is_err());
         assert!(DetectorPipeline::from_json("{}").is_err());
+    }
+
+    /// An untrained `inputs`→2→2 network, which is all a load check needs.
+    fn small_network(inputs: usize) -> Network {
+        NetworkBuilder::new(inputs)
+            .layer(2, Activation::ReLU)
+            .layer(2, Activation::Identity)
+            .seed(5)
+            .build()
+            .unwrap()
+    }
+
+    /// A detector around a 491→2→2 network (the vocabulary fixes the
+    /// input width).
+    fn small_pipeline() -> DetectorPipeline {
+        use maleva_features::CountTransform;
+        let vocab = ApiVocab::standard();
+        let features = FeaturePipeline::fit_counts(CountTransform::Log1p, &[vec![3; vocab.len()]]);
+        let network = small_network(vocab.len());
+        DetectorPipeline::new(vocab, features, network).unwrap()
+    }
+
+    /// Rewrites a layer's text, from its `"weights"` key on.
+    type LayerEdit = fn(&str) -> String;
+
+    /// `json` with its first layer rewritten by `edit`.
+    fn edit_first_layer(json: &str, edit: LayerEdit) -> String {
+        let at = json.find("\"weights\":").expect("a layer");
+        let edited = format!("{}{}", &json[..at], edit(&json[at..]));
+        assert_ne!(edited, json, "the edit changed nothing");
+        edited
+    }
+
+    /// The three ways a hand-edited or corrupted export used to load and
+    /// only fail (or quietly serve NaN) later, each with the cause its
+    /// load error now names: a weight that overflows to +∞, a bias
+    /// shorter than the layer, and weight data shorter than rows × cols.
+    const BAD_EDITS: [(&str, LayerEdit); 3] = [
+        ("non-finite value inf in weights", |layer| {
+            let at = layer.find("\"data\":[").unwrap() + "\"data\":[".len();
+            let end = at + layer[at..].find(',').unwrap();
+            format!("{}1e400{}", &layer[..at], &layer[end..])
+        }),
+        ("bias has length 1", |layer| {
+            let at = layer.find("\"bias\":[").unwrap() + "\"bias\":[".len();
+            let end = at + layer[at..].find(',').unwrap();
+            format!("{}{}", &layer[..at], &layer[end + 1..])
+        }),
+        ("flat data has length", |layer| {
+            let close = layer.find(']').unwrap();
+            let cut = layer[..close].rfind(',').unwrap();
+            format!("{}{}", &layer[..cut], &layer[close..])
+        }),
+    ];
+
+    #[test]
+    fn network_and_pipeline_loads_reject_invalid_weights() {
+        let pipeline = small_pipeline();
+        let network = small_network(3);
+        let network_json = network.to_json().unwrap();
+        let pipeline_json = pipeline.to_json().unwrap();
+        assert_eq!(Network::from_json(&network_json).unwrap(), network);
+        DetectorPipeline::from_json(&pipeline_json).unwrap();
+        for (cause, edit) in BAD_EDITS {
+            let loads = [
+                Network::from_json(&edit_first_layer(&network_json, edit)).map(drop),
+                DetectorPipeline::from_json(&edit_first_layer(&pipeline_json, edit)).map(drop),
+            ];
+            for load in loads {
+                let err = load.expect_err(cause);
+                let detail = match &err {
+                    NnError::Serialization { detail } => detail,
+                    other => panic!("{cause}: {other}"),
+                };
+                assert!(detail.contains(cause), "{cause}: {err}");
+            }
+        }
     }
 }

@@ -1,7 +1,8 @@
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::de::Error as _;
+use serde::{Deserialize, Deserializer, Serialize};
 
 use crate::LinalgError;
 
@@ -25,11 +26,26 @@ use crate::LinalgError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+/// Loads through [`Matrix::from_vec`], so a stored matrix whose `data`
+/// does not hold exactly `rows × cols` values is refused at load.
+impl<'de> Deserialize<'de> for Matrix {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            rows: usize,
+            cols: usize,
+            data: Vec<f64>,
+        }
+        let raw = Raw::deserialize(d)?;
+        Matrix::from_vec(raw.rows, raw.cols, raw.data).map_err(D::Error::custom)
+    }
 }
 
 impl Matrix {
@@ -122,12 +138,11 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::MalformedData`] if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(LinalgError::MalformedData {
                 detail: format!(
-                    "flat data has length {}, expected {} ({rows}x{cols})",
-                    data.len(),
-                    rows * cols
+                    "flat data has length {}, expected {rows}x{cols}",
+                    data.len()
                 ),
             });
         }
@@ -420,13 +435,6 @@ impl Matrix {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: Fn(f64) -> f64>(&mut self, f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Multiplies every element by `k`.
     pub fn scale(&self, k: f64) -> Matrix {
         self.map(|v| v * k)
@@ -705,6 +713,7 @@ mod tests {
             Matrix::from_vec(2, 2, vec![1.0; 5]).unwrap_err(),
             LinalgError::MalformedData { .. }
         ));
+        assert!(Matrix::from_vec(usize::MAX, 2, vec![1.0; 2]).is_err());
     }
 
     #[test]

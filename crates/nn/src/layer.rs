@@ -1,6 +1,7 @@
-use maleva_linalg::Matrix;
+use maleva_linalg::{stats, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::de::Error as _;
+use serde::{Deserialize, Deserializer, Serialize};
 
 use crate::{Activation, NnError};
 
@@ -9,13 +10,30 @@ use crate::{Activation, NnError};
 ///
 /// Weights are stored `in_dim x out_dim` so a batch (rows = samples)
 /// multiplies on the left.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dense {
     weights: Matrix,
     bias: Vec<f64>,
     activation: Activation,
     /// Probability of dropping each activation during training; 0 disables.
     dropout: f64,
+}
+
+/// Loads through [`Dense::new`], so a stored layer with a bias of the
+/// wrong length, a dropout outside `[0, 1)` or a non-finite parameter
+/// is refused at load.
+impl<'de> Deserialize<'de> for Dense {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            weights: Matrix,
+            bias: Vec<f64>,
+            activation: Activation,
+            dropout: f64,
+        }
+        let raw = Raw::deserialize(d)?;
+        Dense::new(raw.weights, raw.bias, raw.activation, raw.dropout).map_err(D::Error::custom)
+    }
 }
 
 /// Per-layer tensors cached by a training forward pass, consumed by
@@ -36,8 +54,8 @@ impl Dense {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidConfig`] if `bias.len() != weights.cols()`
-    /// or `dropout` is not in `[0, 1)`.
+    /// Returns [`NnError::InvalidConfig`] if `bias.len() != weights.cols()`,
+    /// `dropout` is not in `[0, 1)`, or a weight or bias is NaN or ±∞.
     pub fn new(
         weights: Matrix,
         bias: Vec<f64>,
@@ -58,6 +76,11 @@ impl Dense {
                 detail: format!("dropout must be in [0, 1), got {dropout}"),
             });
         }
+        stats::check_matrix_finite("weights", &weights)
+            .and_then(|()| stats::check_finite("bias", &bias))
+            .map_err(|e| NnError::InvalidConfig {
+                detail: e.to_string(),
+            })?;
         Ok(Dense {
             weights,
             bias,
@@ -219,6 +242,22 @@ mod tests {
     fn new_rejects_bad_bias() {
         let w = Matrix::identity(2);
         assert!(Dense::new(w, vec![0.0], Activation::ReLU, 0.0).is_err());
+    }
+
+    #[test]
+    fn new_rejects_non_finite_parameters() {
+        let mut w = Matrix::identity(2);
+        w.set(1, 0, f64::INFINITY);
+        let err = Dense::new(w, vec![0.0, 0.0], Activation::ReLU, 0.0).unwrap_err();
+        assert!(err.to_string().contains("inf in weights"), "{err}");
+        let err = Dense::new(
+            Matrix::identity(2),
+            vec![0.0, f64::NAN],
+            Activation::ReLU,
+            0.0,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("NaN in bias"), "{err}");
     }
 
     #[test]

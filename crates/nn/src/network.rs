@@ -1,6 +1,7 @@
 use maleva_linalg::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::de::Error as _;
+use serde::{Deserialize, Deserializer, Serialize};
 
 use crate::layer::LayerCache;
 use crate::softmax::{softmax, softmax_rows};
@@ -17,9 +18,23 @@ use crate::{init, Activation, Dense, NnError};
 /// * substitute model — Table IV: 491 → 1200 → 1500 → 1300 → 2.
 ///
 /// Construct networks with [`NetworkBuilder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Network {
     layers: Vec<Dense>,
+}
+
+/// Loads through [`Network::from_layers`] (and each layer through
+/// [`Dense::new`]), so every stored model is validated once, wherever
+/// it is embedded: a bare export, a detector pipeline or a training
+/// checkpoint.
+impl<'de> Deserialize<'de> for Network {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            layers: Vec<Dense>,
+        }
+        Network::from_layers(Raw::deserialize(d)?.layers).map_err(D::Error::custom)
+    }
 }
 
 /// Gradients produced by one backward pass, aligned with the network's
@@ -430,14 +445,13 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Serialization`] if decoding fails and
-    /// [`NnError::InvalidConfig`] if the decoded layers do not chain.
+    /// Returns [`NnError::Serialization`] if decoding fails, including
+    /// when the decoded model breaks an invariant of
+    /// [`Network::from_layers`] or [`Dense::new`].
     pub fn from_json(json: &str) -> Result<Self, NnError> {
-        let net: Network = serde_json::from_str(json).map_err(|e| NnError::Serialization {
+        serde_json::from_str(json).map_err(|e| NnError::Serialization {
             detail: e.to_string(),
-        })?;
-        // Re-validate invariants that serde cannot enforce.
-        Network::from_layers(net.layers)
+        })
     }
 }
 

@@ -197,11 +197,6 @@ impl TrainConfig {
         self
     }
 
-    /// The configured temperature.
-    pub fn temperature_value(&self) -> f64 {
-        self.temperature
-    }
-
     fn validate(&self) -> Result<(), NnError> {
         if self.epochs == 0 {
             return Err(NnError::InvalidConfig {

@@ -343,17 +343,6 @@ impl FaultInjector {
         fire
     }
 
-    /// [`FaultInjector::should_fire`] plus the configured sleep when it
-    /// fires; returns whether it fired.
-    pub fn maybe_sleep(&self, site: FaultSite) -> bool {
-        if self.should_fire(site) {
-            std::thread::sleep(self.plan.delay);
-            true
-        } else {
-            false
-        }
-    }
-
     /// How many times `site` has fired.
     pub fn fired(&self, site: FaultSite) -> u64 {
         self.sites[site.index()].fired.load(Ordering::Relaxed)

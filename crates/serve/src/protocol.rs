@@ -63,9 +63,11 @@
 //!
 //! [`parse_request`] reads a request line in one pass over its bytes:
 //! the `features` array goes straight into the count vector and no
-//! JSON tree is built. It accepts exactly the JSON the vendored
-//! `serde_json` parser accepts, so a line is malformed for one exactly
-//! when it is malformed for the other.
+//! JSON tree is built. It accepts the JSON the vendored `serde_json`
+//! parser accepts, with one difference: that parser refuses nesting
+//! deeper than 128 levels, while this scanner tracks nesting without
+//! recursion and has no depth limit. Up to that depth a line is
+//! malformed for one exactly when it is malformed for the other.
 
 use std::borrow::Cow;
 

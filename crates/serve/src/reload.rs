@@ -8,10 +8,12 @@
 //!
 //! [`load_model`] accepts three artifact shapes at a single path:
 //! a [`DetectorPipeline`] JSON export, a bare [`Network`] JSON export,
-//! or a training checkpoint directory (`checkpoint.json` inside). The
-//! candidate is validated against the serving pipeline (input
-//! dimension, binary head) before it is installed, so a bad artifact
-//! leaves the current generation untouched.
+//! or a training checkpoint directory (`checkpoint.json` inside). A JSON
+//! file is parsed once: its top-level keys tell a pipeline from a bare
+//! network. Loading validates the model itself (layer shapes, finite
+//! weights and biases); the candidate is then checked against the
+//! serving pipeline (input dimension, binary head) before it is
+//! installed, so a bad artifact leaves the current generation untouched.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,6 +21,7 @@ use std::sync::{Arc, Mutex};
 
 use maleva_core::DetectorPipeline;
 use maleva_nn::{Network, TrainCheckpoint};
+use serde::{Content, ContentDeserializer, Deserialize, Deserializer};
 
 use crate::error::ServeError;
 
@@ -128,15 +131,32 @@ fn read_network(path: &Path) -> Result<Network, ServeError> {
     let json = std::fs::read_to_string(path).map_err(|e| ServeError::ReloadFailed {
         detail: format!("cannot read {}: {e}", path.display()),
     })?;
-    if let Ok(pipeline) = DetectorPipeline::from_json(&json) {
-        return Ok(pipeline.network().clone());
+    serde_json::from_str::<Export>(&json)
+        .map(|export| export.0)
+        .map_err(|e| ServeError::ReloadFailed {
+            detail: format!(
+                "{} is not a valid pipeline or network export: {e}",
+                path.display()
+            ),
+        })
+}
+
+/// The network of a JSON export: a pipeline export carries it under its
+/// top-level `network` key, and anything else is read as a bare network.
+struct Export(Network);
+
+impl<'de> Deserialize<'de> for Export {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let content = d.content()?;
+        let pipeline =
+            matches!(&content, Content::Map(keys) if keys.iter().any(|(k, _)| k == "network"));
+        let d = ContentDeserializer::<D::Error>::new(content);
+        if pipeline {
+            DetectorPipeline::deserialize(d).map(|p| Export(p.network().clone()))
+        } else {
+            Network::deserialize(d).map(Export)
+        }
     }
-    Network::from_json(&json).map_err(|e| ServeError::ReloadFailed {
-        detail: format!(
-            "{} is neither a pipeline nor a network export: {e}",
-            path.display()
-        ),
-    })
 }
 
 #[cfg(test)]

@@ -344,11 +344,6 @@ impl ServerHandle {
         self.shared.model.generation()
     }
 
-    /// Whether a shutdown has been initiated.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
     /// Initiates a graceful drain and waits for all threads to finish.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shared.trigger_shutdown();

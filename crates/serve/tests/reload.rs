@@ -528,3 +528,47 @@ fn a_score_after_a_reload_reports_the_acked_generation() {
     );
     drop(handle);
 }
+
+/// Artifacts that used to load (or to crash the server): a file nested
+/// far deeper than the JSON parser's 128-level cap, which overflowed
+/// the shard thread's stack, and a model with a weight written as
+/// `1e400`, which parsed to +∞ and scored every sample NaN — a score the
+/// reply reads as "clean". Each is now a typed `reload_failed`: the
+/// generation stays, and the shard that parsed it keeps serving.
+#[test]
+fn deeply_nested_and_non_finite_artifacts_fail_the_reload() {
+    let dir = scratch("bad-artifacts");
+    let alt = alternate_network(31);
+    let alt_path = export(&dir, "alt.json", &alt);
+    let nested_path = dir.join("nested.json");
+    std::fs::write(&nested_path, "[".repeat(200_000)).expect("write nested file");
+    let json = alt.to_json().expect("to_json");
+    let at = json.find("\"data\":[").expect("weights") + "\"data\":[".len();
+    let end = at + json[at..].find(',').expect("a second weight");
+    let poisoned_path = dir.join("poisoned.json");
+    std::fs::write(
+        &poisoned_path,
+        format!("{}1e400{}", &json[..at], &json[end..]),
+    )
+    .expect("write poisoned export");
+
+    let handle = spawn(ctx().detector.clone(), ServeConfig::default()).expect("spawn server");
+    let mut wire = Wire::connect(handle.addr());
+    let ack = wire.roundtrip(&format!("{{\"cmd\":\"reload\",\"path\":\"{alt_path}\"}}"));
+    assert!(ack.starts_with("{\"reload\":{\"generation\":1"), "{ack}");
+    let counts = ctx().dataset.test()[0].counts();
+    for (path, cause) in [
+        (&nested_path, "nesting deeper than 128"),
+        (&poisoned_path, "non-finite value inf in weights"),
+    ] {
+        let path = path.to_str().expect("utf8 path");
+        let resp = wire.roundtrip(&format!("{{\"cmd\":\"reload\",\"path\":\"{path}\"}}"));
+        assert!(resp.contains("\"kind\":\"reload_failed\""), "{resp}");
+        assert!(resp.contains(cause), "{resp}");
+        assert_eq!(handle.generation(), 1);
+        let reply = score_reply(&wire.roundtrip(&render_line(counts)));
+        assert_eq!(reply.generation, 1);
+        assert_eq!(reply.score.to_bits(), oracle_bits(&alt, counts));
+    }
+    drop(handle);
+}

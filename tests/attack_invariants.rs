@@ -5,8 +5,7 @@
 use std::sync::OnceLock;
 
 use maleva_attack::{
-    CarliniWagnerL2, EnsembleJsma, EvasionAttack, Fgsm, Jsma, RandomAddition, SaliencyPolicy,
-    SqueezeAwareJsma,
+    EnsembleJsma, EvasionAttack, Jsma, RandomAddition, SaliencyPolicy, SqueezeAwareJsma,
 };
 use maleva_core::{ExperimentContext, ExperimentScale};
 
@@ -20,9 +19,7 @@ fn attacks() -> Vec<Box<dyn EvasionAttack>> {
         Box::new(Jsma::new(0.2, 0.05)),
         Box::new(Jsma::new(0.2, 0.05).with_high_confidence()),
         Box::new(Jsma::new(0.2, 0.05).with_policy(SaliencyPolicy::PairwiseProduct)),
-        Box::new(Fgsm::new(0.1)),
         Box::new(RandomAddition::new(0.2, 0.05, 3)),
-        Box::new(CarliniWagnerL2::new(5.0).with_budget(40, 0.05)),
         Box::new(SqueezeAwareJsma::new(Jsma::new(0.2, 0.05), 0.21, 0.01)),
     ]
 }
@@ -156,32 +153,6 @@ fn ensemble_attack_obeys_constraints_at_491_features() {
         for (orig, a) in batch.row(r).iter().zip(o.adversarial.iter()) {
             assert!(a >= orig, "ensemble attack removed features");
         }
-    }
-}
-
-#[test]
-fn cw_finds_smaller_l2_than_jsma_at_491_features() {
-    let ctx = ctx();
-    let malware = ctx.attack_batch();
-    let small: Vec<usize> = (0..10.min(malware.rows())).collect();
-    let batch = malware.select_rows(&small);
-    let cw = CarliniWagnerL2::new(10.0).with_budget(100, 0.05);
-    let jsma = Jsma::new(0.4, 0.2);
-    let (_, co) = cw.craft_batch(ctx.target(), &batch).expect("cw");
-    let (_, jo) = jsma.craft_batch(ctx.target(), &batch).expect("jsma");
-    let joint: Vec<(f64, f64)> = co
-        .iter()
-        .zip(jo.iter())
-        .filter(|(c, j)| c.evaded && j.evaded)
-        .map(|(c, j)| (c.l2_distance, j.l2_distance))
-        .collect();
-    if !joint.is_empty() {
-        let cw_mean: f64 = joint.iter().map(|p| p.0).sum::<f64>() / joint.len() as f64;
-        let jsma_mean: f64 = joint.iter().map(|p| p.1).sum::<f64>() / joint.len() as f64;
-        assert!(
-            cw_mean <= jsma_mean * 1.5,
-            "C&W L2 should be competitive: {cw_mean} vs JSMA {jsma_mean}"
-        );
     }
 }
 

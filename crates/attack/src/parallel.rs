@@ -33,24 +33,6 @@ use maleva_obs::trace::Span;
 
 use crate::{AttackOutcome, EvasionAttack};
 
-/// Process-wide attack counters in the shared `maleva-obs` registry.
-fn attack_counters() -> &'static (
-    std::sync::Arc<maleva_obs::Counter>,
-    std::sync::Arc<maleva_obs::Counter>,
-) {
-    static COUNTERS: std::sync::OnceLock<(
-        std::sync::Arc<maleva_obs::Counter>,
-        std::sync::Arc<maleva_obs::Counter>,
-    )> = std::sync::OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let registry = maleva_obs::metrics::global();
-        (
-            registry.counter("attack_rows_total", "Adversarial rows attempted."),
-            registry.counter("attack_rows_evaded_total", "Rows that evaded the detector."),
-        )
-    })
-}
-
 /// What happened to one row of a fault-tolerant batch run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RowOutcome {
@@ -259,16 +241,9 @@ where
     loop {
         match catch_unwind(AssertUnwindSafe(|| attack.craft(net, sample))) {
             Ok(Ok(outcome)) => {
-                if span.is_active() {
-                    let (rows_total, rows_evaded) = attack_counters();
-                    rows_total.inc();
-                    if outcome.evaded {
-                        rows_evaded.inc();
-                    }
-                    span.record("outcome", "ok");
-                    span.record("evaded", outcome.evaded);
-                    span.record("retries", attempt as u64);
-                }
+                span.record("outcome", "ok");
+                span.record("evaded", outcome.evaded);
+                span.record("retries", attempt as u64);
                 return RowOutcome::Ok(outcome);
             }
             Ok(Err(e)) => {
@@ -276,10 +251,7 @@ where
                     attempt += 1;
                     continue;
                 }
-                if span.is_active() {
-                    attack_counters().0.inc();
-                    span.record("outcome", "err");
-                }
+                span.record("outcome", "err");
                 return RowOutcome::Err(e);
             }
             Err(payload) => {
@@ -288,10 +260,7 @@ where
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "<non-string panic>".to_string());
-                if span.is_active() {
-                    attack_counters().0.inc();
-                    span.record("outcome", "panicked");
-                }
+                span.record("outcome", "panicked");
                 return RowOutcome::Panicked { message };
             }
         }

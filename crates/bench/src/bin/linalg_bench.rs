@@ -39,7 +39,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use maleva_linalg::{backend, kernels, pool, BackendKind, Matrix};
+use maleva_linalg::{kernels, pool, BackendKind, Matrix};
 use maleva_nn::{Activation, NetworkBuilder, TrainConfig, Trainer};
 use serde::Serialize;
 
@@ -221,7 +221,7 @@ fn bench_shape(
     let a = test_matrix(batch, k, (batch * 1_000_000 + k * 1000 + n) as u64);
     let b = test_matrix(k, n, (k * 1_000_000 + n) as u64);
 
-    let simd = backend::of(BackendKind::Simd);
+    let simd = BackendKind::Simd;
     let reference = kernels::matmul_scalar(&a, &b).expect("scalar kernel");
     let blocked = kernels::matmul_blocked(&a, &b).expect("blocked kernel");
     let pooled = kernels::matmul_pooled(&a, &b, threads).expect("pooled kernel");
@@ -259,7 +259,7 @@ fn bench_nt_shape(name: &str, ra: usize, c: usize, rb: usize, reps: usize) -> Nt
     let a = test_matrix(ra, c, (ra * 1_000_000 + c * 1000 + rb) as u64);
     let b = test_matrix(rb, c, (rb * 1_000_000 + c) as u64);
     let bt = b.transpose();
-    let pooled = backend::of(BackendKind::Pooled);
+    let pooled = BackendKind::Pooled;
     let nt = pooled.matmul_nt(&a, &b).expect("nt kernel");
     let reference = kernels::matmul_scalar(&a, &bt).expect("scalar kernel");
     let via_matmul = kernels::matmul_blocked(&a, &bt).expect("blocked kernel");

@@ -5,7 +5,7 @@
 //! repro [--scale tiny|quick|paper] [--seed N] [--exp ID]
 //!       [--checkpoint-dir DIR [--checkpoint-every K] [--resume]]
 //!       [--trace-out FILE] [--manifest-out FILE] [--threads N]
-//!       [--backend scalar|pooled|simd]
+//!       [--backend pooled|simd]
 //!
 //! IDs: table1 table2 table3 table4 figure1 figure2 fig3a fig3b
 //!      fig4a fig4b fig4c fig5a fig5b live table5 table6 all
@@ -126,7 +126,7 @@ fn parse_args() -> Result<Args, String> {
                     "usage: repro [--scale tiny|quick|paper] [--seed N] [--exp ID] [--csv-dir DIR]\n\
                      \x20           [--checkpoint-dir DIR [--checkpoint-every K] [--resume]]\n\
                      \x20           [--trace-out FILE] [--manifest-out FILE] [--threads N]\n\
-                     \x20           [--backend scalar|pooled|simd]\n\
+                     \x20           [--backend pooled|simd]\n\
                      IDs: table1 table2 table3 table4 figure1 figure2 fig3a fig3b\n\
                      \x20     fig4a fig4b fig4c fig5a fig5b live table5 table6 all"
                 );

@@ -149,10 +149,11 @@ decomposition checks, and the slowest-request exemplars
 
 every command accepts --trace-out FILE (or '-' for stderr) to write
 newline-delimited JSON spans, --threads N (or MALEVA_THREADS) to size
-the linalg worker pool, and --backend scalar|pooled|simd (or
-MALEVA_BACKEND) to pick the linalg backend every product dispatches
-through — pooled (default) is bit-identical to the scalar reference,
-simd is the fast f32 micro-kernel with a 1e-5 tolerance contract;
+the linalg worker pool, and --backend pooled|simd (or MALEVA_BACKEND)
+to pick the kernel every matrix product runs — pooled (default) is
+bit-identical to the scalar reference, simd is the fast f32
+micro-kernel with a 1e-5 tolerance contract (both variables are read
+once per process);
 train also writes manifest.json next to its --out artifact";
 
 /// Flags that take no value; parsed as `"true"`.

@@ -75,3 +75,25 @@ fn known_and_global_flags_are_accepted() {
     assert!(out.exists());
     let _ = std::fs::remove_file(&out);
 }
+
+#[test]
+fn the_retired_scalar_backend_is_a_usage_error() {
+    let out = scratch("scalar.log");
+    let _ = std::fs::remove_file(&out);
+    let run = maleva(&[
+        "gen",
+        "--out",
+        out.to_str().unwrap(),
+        "--class",
+        "clean",
+        "--seed",
+        "3",
+        "--backend",
+        "scalar",
+    ]);
+    assert!(!run.status.success(), "{run:?}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("unknown backend `scalar`"), "{stderr}");
+    assert!(stderr.contains("pooled|simd"), "{stderr}");
+    assert!(!out.exists(), "the command must not run");
+}

@@ -1,6 +1,6 @@
 use maleva_apisim::{ApiVocab, Program};
 use maleva_features::FeaturePipeline;
-use maleva_linalg::Matrix;
+use maleva_linalg::{LinalgError, Matrix};
 use maleva_nn::{Network, NnError};
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize};
@@ -112,7 +112,10 @@ impl DetectorPipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError`] on internal shape mismatches.
+    /// Returns [`NnError`] on internal shape mismatches, and
+    /// [`LinalgError::NonFinite`] (labelled `score`) when the forward
+    /// pass overflows to a NaN or infinite score — a score no verdict
+    /// can be read from.
     pub fn scan_log(&self, log_text: &str) -> Result<f64, NnError> {
         let mut span = maleva_obs::Span::enter("pipeline.scan");
         // Stage timers are pure diagnostics; the clock is only read when
@@ -129,6 +132,13 @@ impl DetectorPipeline {
             span.record("featurize_us", t2.duration_since(t1).as_micros() as u64);
             span.record("classify_us", t2.elapsed().as_micros() as u64);
             span.record("score", score);
+        }
+        if !score.is_finite() {
+            return Err(NnError::Linalg(LinalgError::NonFinite {
+                label: "score".to_string(),
+                index: 0,
+                value: score.to_string(),
+            }));
         }
         Ok(score)
     }

@@ -29,10 +29,7 @@
 //! back by index, so scheduling order cannot affect the result.
 
 use std::sync::mpsc::channel;
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-use maleva_obs::metrics::{Counter, Histogram};
+use std::sync::Arc;
 
 use crate::pool::{self, Job};
 use crate::{LinalgError, Matrix};
@@ -50,30 +47,6 @@ pub const NC: usize = 512;
 /// [`pool`] next to the worker machinery it sizes work for (see
 /// [`pool::parallel_worthwhile`]).
 pub use crate::pool::PARALLEL_WORK_THRESHOLD;
-
-fn gemm_metrics() -> &'static (Arc<Counter>, Arc<Histogram>) {
-    static METRICS: OnceLock<(Arc<Counter>, Arc<Histogram>)> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = maleva_obs::metrics::global();
-        (
-            registry.counter(
-                "linalg_gemm_calls_total",
-                "Total GEMM-family kernel dispatches (matmul, matmul_tn, matmul_nt, gemv)",
-            ),
-            registry.histogram(
-                "linalg_gemm_latency_us",
-                "Per-call GEMM-family kernel latency in microseconds",
-            ),
-        )
-    })
-}
-
-/// Records one GEMM-family dispatch in the global obs registry.
-pub(crate) fn record_gemm_call(start: Instant) {
-    let (calls, latency) = gemm_metrics();
-    calls.inc();
-    latency.record_duration_us(start.elapsed());
-}
 
 /// Dimension check for `a * b` (`a.cols == b.rows`), shared by every
 /// backend so the typed error is identical regardless of dispatch.

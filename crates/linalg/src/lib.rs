@@ -10,17 +10,17 @@
 //! * [`Matrix`] — a row-major dense `f64` matrix with the arithmetic needed
 //!   by a feed-forward neural network (matmul, transpose, broadcasting row
 //!   ops, elementwise maps).
-//! * [`backend`] — the [`LinalgBackend`] trait and the process-wide
-//!   backend selection ([`set_backend`] / `MALEVA_BACKEND`) that
+//! * [`backend`] — [`BackendKind`] and the process-wide backend choice
+//!   ([`set_backend`] / `MALEVA_BACKEND`, read once) whose kernels
 //!   [`Matrix::matmul`], [`Matrix::matmul_tn`], [`Matrix::matmul_nt`] and
-//!   [`Matrix::gemv`] dispatch through: `scalar` and `pooled` (the
-//!   bit-identical f64 pair, `pooled` default) and `simd` (the f32
-//!   panel micro-kernel, 1e-5-tolerance contract).
+//!   [`Matrix::gemv`] run: `pooled` (the default, f64, bit-identical to
+//!   the scalar reference) or `simd` (the f32 panel micro-kernel,
+//!   1e-5-tolerance contract).
 //! * [`kernels`] — cache-blocked matmul/GEMV kernels (plus the scalar
-//!   reference they are proven bit-identical to) that the f64 backends
-//!   are built from.
+//!   reference they are proven bit-identical to) that the `pooled`
+//!   backend is built from.
 //! * [`pool`] — the shared worker pool large products are partitioned
-//!   over, sized by `MALEVA_THREADS` / [`pool::set_threads`].
+//!   over, sized by `MALEVA_THREADS` (read once) / [`pool::set_threads`].
 //! * [`norm`] — L1/L2/L∞ norms and distances used by attack-strength and
 //!   feature-squeezing measurements.
 //! * [`stats`] — column means, variances, covariance matrices.
@@ -56,7 +56,7 @@ pub mod pool;
 mod simd;
 pub mod stats;
 
-pub use backend::{set_backend, BackendKind, LinalgBackend};
+pub use backend::{set_backend, BackendKind};
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use pca::Pca;

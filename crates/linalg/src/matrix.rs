@@ -281,13 +281,12 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Dispatches through the process-wide [`crate::backend`] selected
-    /// by `--backend` / `MALEVA_BACKEND` /
-    /// [`backend::set_backend`](crate::backend::set_backend). Under the
-    /// f64 backends (`scalar` and the default `pooled`, which
-    /// partitions large products across the shared worker pool
-    /// sized by `MALEVA_THREADS` /
-    /// [`pool::set_threads`](crate::pool::set_threads)) each output
+    /// Runs the kernel of the process-wide backend
+    /// ([`backend::effective_kind`](crate::backend::effective_kind),
+    /// chosen by `--backend` / `MALEVA_BACKEND`). Under the default
+    /// `pooled` backend, which partitions large products across the
+    /// shared worker pool sized by `MALEVA_THREADS` /
+    /// [`pool::set_threads`](crate::pool::set_threads), each output
     /// element's summation order is fixed (ascending `k`, zero-skip),
     /// so results are **bit-identical** to the scalar reference kernel
     /// regardless of blocking or thread count. The `simd` backend is
@@ -299,17 +298,14 @@ impl Matrix {
     /// Returns [`LinalgError::DimensionMismatch`] if
     /// `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        let start = std::time::Instant::now();
-        let out = crate::backend::active().matmul(self, rhs)?;
-        crate::kernels::record_gemm_call(start);
-        Ok(out)
+        crate::backend::effective_kind().matmul(self, rhs)
     }
 
     /// Transposed-left product `selfᵀ * rhs` without materializing the
     /// transpose (the backprop weight-gradient and covariance shape),
-    /// dispatched through the active [`crate::backend`].
+    /// run by the process-wide backend.
     ///
-    /// Bit-identical to `self.transpose().matmul(rhs)` under every
+    /// Bit-identical to `self.transpose().matmul(rhs)` under either
     /// backend (for `simd`, both routes produce the same f32 result).
     ///
     /// # Errors
@@ -317,46 +313,37 @@ impl Matrix {
     /// Returns [`LinalgError::DimensionMismatch`] if
     /// `self.rows() != rhs.rows()`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        let start = std::time::Instant::now();
-        let out = crate::backend::active().matmul_tn(self, rhs)?;
-        crate::kernels::record_gemm_call(start);
-        Ok(out)
+        crate::backend::effective_kind().matmul_tn(self, rhs)
     }
 
     /// Transposed-right product `self * rhsᵀ` without materializing the
-    /// transpose (the backprop input-gradient shape), dispatched
-    /// through the active [`crate::backend`].
+    /// transpose (the backprop input-gradient shape), run by the
+    /// process-wide backend.
     ///
-    /// Bit-identical to `self.matmul(&rhs.transpose())` under the f64
-    /// backends; within the `simd` tolerance contract otherwise.
+    /// Bit-identical to `self.matmul(&rhs.transpose())` under `pooled`;
+    /// within the `simd` tolerance contract otherwise.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if
     /// `self.cols() != rhs.cols()`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        let start = std::time::Instant::now();
-        let out = crate::backend::active().matmul_nt(self, rhs)?;
-        crate::kernels::record_gemm_call(start);
-        Ok(out)
+        crate::backend::effective_kind().matmul_nt(self, rhs)
     }
 
-    /// Matrix-vector product `self * x`, dispatched through the active
-    /// [`crate::backend`].
+    /// Matrix-vector product `self * x`, run by the process-wide
+    /// backend.
     ///
     /// Bit-identical to `self.matmul(&Matrix::col_vector(x))` flattened
-    /// to a vector under the f64 backends; within the `simd` tolerance
-    /// contract otherwise.
+    /// to a vector under `pooled`; within the `simd` tolerance contract
+    /// otherwise.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if
     /// `x.len() != self.cols()`.
     pub fn gemv(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let start = std::time::Instant::now();
-        let out = crate::backend::active().gemv(self, x)?;
-        crate::kernels::record_gemm_call(start);
-        Ok(out)
+        crate::backend::effective_kind().gemv(self, x)
     }
 
     /// Returns the transpose of the matrix.

@@ -13,6 +13,8 @@
 //! 2. the `MALEVA_THREADS` environment variable;
 //! 3. [`std::thread::available_parallelism`].
 //!
+//! Steps 2 and 3 are resolved once per process.
+//!
 //! The resolved count controls how many row partitions a kernel splits
 //! its output into, **not** how many OS threads exist: requesting 8
 //! threads on a single-core machine still produces 8 deterministic
@@ -61,25 +63,29 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
+/// The thread count `MALEVA_THREADS` selects: its value when it is a
+/// positive integer, else [`std::thread::available_parallelism`];
+/// clamped to [`MAX_POOL_WORKERS`] and always at least 1.
+fn threads_from_env(value: Option<&str>) -> usize {
+    value
+        .and_then(|raw| raw.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .min(MAX_POOL_WORKERS)
+}
+
 /// The thread count parallel kernels will partition work into right now.
 ///
-/// Always at least 1. See the module docs for the resolution order.
+/// Always at least 1. See the module docs for the resolution order; the
+/// environment and the hardware are read on the first call that finds
+/// no override, and never again.
 pub fn effective_threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced.min(MAX_POOL_WORKERS);
     }
-    if let Ok(raw) = std::env::var("MALEVA_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n > 0 {
-                return n.min(MAX_POOL_WORKERS);
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_POOL_WORKERS)
+    static FROM_ENV: OnceLock<usize> = OnceLock::new();
+    *FROM_ENV.get_or_init(|| threads_from_env(std::env::var("MALEVA_THREADS").ok().as_deref()))
 }
 
 struct PoolState {
@@ -149,6 +155,18 @@ mod tests {
     #[test]
     fn effective_threads_is_positive() {
         assert!(effective_threads() >= 1);
+    }
+
+    #[test]
+    fn env_threads_resolve_to_a_positive_clamped_count() {
+        let hardware = threads_from_env(None);
+        assert!((1..=MAX_POOL_WORKERS).contains(&hardware));
+        assert_eq!(threads_from_env(Some("3")), 3);
+        assert_eq!(threads_from_env(Some(" 5 ")), 5);
+        assert_eq!(threads_from_env(Some("1000")), MAX_POOL_WORKERS);
+        for ignored in ["0", "-2", "many", ""] {
+            assert_eq!(threads_from_env(Some(ignored)), hardware, "{ignored:?}");
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Cross-backend differential suite: every [`LinalgBackend`] against
-//! the scalar f64 reference, for all four product variants.
+//! Cross-backend differential suite: every [`BackendKind`] against the
+//! scalar f64 reference ([`kernels::matmul_scalar`]), for all four
+//! product variants.
 //!
 //! The contract being pinned (DESIGN.md §13):
 //!
-//! * `Scalar`, `Pooled` — **bit-identical** for arbitrary
-//!   shapes (including `0xN` and `1x1`), zero-mass elements, and every
-//!   thread count;
+//! * `Pooled` — **bit-identical** for arbitrary shapes (including
+//!   `0xN` and `1x1`), zero-mass elements, and every thread count;
 //! * `Simd` — deterministic, and within `1e-5` *relative* tolerance of
 //!   the reference, where the scale for each output element is the
 //!   absolute-value product `|a| * |b|` (so cancellation-heavy elements
@@ -14,13 +14,14 @@
 //! * every backend returns the same typed
 //!   [`LinalgError::DimensionMismatch`] on misshapen operands.
 //!
-//! Backends are obtained with [`backend::of`], which bypasses the
-//! process-global selection, so these properties run in parallel
-//! without racing; the selection machinery itself ([`set_backend`] /
-//! `MALEVA_BACKEND` / default) is pinned by one sequential test at the
-//! bottom that owns the global state in this binary's own process.
+//! Each property calls a [`BackendKind`]'s product methods directly,
+//! bypassing the process-global selection, so the properties run in
+//! parallel without racing; the selection machinery itself
+//! ([`backend::set_backend`] / `MALEVA_BACKEND` / default) is pinned by
+//! one sequential test at the bottom that owns the global state in this
+//! binary's own process.
 
-use maleva_linalg::backend::{self, LinalgBackend};
+use maleva_linalg::backend::{self, kind_from_env};
 use maleva_linalg::{kernels, pool, BackendKind, LinalgError, Matrix};
 use proptest::prelude::*;
 
@@ -68,14 +69,6 @@ fn assert_within_simd_tol(reference: &Matrix, got: &Matrix, scale: &Matrix, what
     }
 }
 
-/// The f64 backends that must agree with `Scalar` to the bit.
-fn f64_backends() -> [&'static dyn LinalgBackend; 2] {
-    [
-        backend::of(BackendKind::Scalar),
-        backend::of(BackendKind::Pooled),
-    ]
-}
-
 proptest! {
     #[test]
     fn matmul_f64_backends_bitwise_simd_tolerant(
@@ -84,11 +77,9 @@ proptest! {
     ) {
         pool::set_threads(threads);
         let reference = kernels::matmul_scalar(&a, &b).unwrap();
-        for be in f64_backends() {
-            let got = be.matmul(&a, &b).unwrap();
-            prop_assert_eq!(bits(&got), bits(&reference), "backend {}", be.kind());
-        }
-        let simd = backend::of(BackendKind::Simd).matmul(&a, &b).unwrap();
+        let pooled = BackendKind::Pooled.matmul(&a, &b).unwrap();
+        prop_assert_eq!(bits(&pooled), bits(&reference));
+        let simd = BackendKind::Simd.matmul(&a, &b).unwrap();
         let scale = kernels::matmul_scalar(&abs(&a), &abs(&b)).unwrap();
         assert_within_simd_tol(&reference, &simd, &scale, "matmul");
         pool::set_threads(0);
@@ -100,11 +91,9 @@ proptest! {
             .prop_flat_map(|(m, k, n)| (matrix(k, m), matrix(k, n))),
     ) {
         let reference = kernels::matmul_scalar(&a.transpose(), &b).unwrap();
-        for be in f64_backends() {
-            let got = be.matmul_tn(&a, &b).unwrap();
-            prop_assert_eq!(bits(&got), bits(&reference), "backend {}", be.kind());
-        }
-        let simd = backend::of(BackendKind::Simd).matmul_tn(&a, &b).unwrap();
+        let pooled = BackendKind::Pooled.matmul_tn(&a, &b).unwrap();
+        prop_assert_eq!(bits(&pooled), bits(&reference));
+        let simd = BackendKind::Simd.matmul_tn(&a, &b).unwrap();
         let scale = kernels::matmul_scalar(&abs(&a).transpose(), &abs(&b)).unwrap();
         assert_within_simd_tol(&reference, &simd, &scale, "matmul_tn");
     }
@@ -115,11 +104,9 @@ proptest! {
             .prop_flat_map(|(m, k, n)| (matrix(m, k), matrix(n, k))),
     ) {
         let reference = kernels::matmul_scalar(&a, &b.transpose()).unwrap();
-        for be in f64_backends() {
-            let got = be.matmul_nt(&a, &b).unwrap();
-            prop_assert_eq!(bits(&got), bits(&reference), "backend {}", be.kind());
-        }
-        let simd = backend::of(BackendKind::Simd).matmul_nt(&a, &b).unwrap();
+        let pooled = BackendKind::Pooled.matmul_nt(&a, &b).unwrap();
+        prop_assert_eq!(bits(&pooled), bits(&reference));
+        let simd = BackendKind::Simd.matmul_nt(&a, &b).unwrap();
         let scale = kernels::matmul_scalar(&abs(&a), &abs(&b).transpose()).unwrap();
         assert_within_simd_tol(&reference, &simd, &scale, "matmul_nt");
     }
@@ -131,13 +118,10 @@ proptest! {
     ) {
         let col = Matrix::from_vec(x.len(), 1, x.clone()).expect("column vector");
         let reference = kernels::matmul_scalar(&a, &col).unwrap();
-        let ref_bits: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-        for be in f64_backends() {
-            let got = be.gemv(&a, &x).unwrap();
-            let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(got_bits, ref_bits.clone(), "backend {}", be.kind());
-        }
-        let simd = backend::of(BackendKind::Simd).gemv(&a, &x).unwrap();
+        let pooled = BackendKind::Pooled.gemv(&a, &x).unwrap();
+        let pooled_bits: Vec<u64> = pooled.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(pooled_bits, bits(&reference));
+        let simd = BackendKind::Simd.gemv(&a, &x).unwrap();
         let abs_col = Matrix::from_vec(x.len(), 1, x.iter().map(|v| v.abs()).collect())
             .expect("column vector");
         let scale = kernels::matmul_scalar(&abs(&a), &abs_col).unwrap();
@@ -156,9 +140,9 @@ proptest! {
         t2 in 1usize..9,
     ) {
         pool::set_threads(t1);
-        let first = backend::of(BackendKind::Simd).matmul(&a, &b).unwrap();
+        let first = BackendKind::Simd.matmul(&a, &b).unwrap();
         pool::set_threads(t2);
-        let second = backend::of(BackendKind::Simd).matmul(&a, &b).unwrap();
+        let second = BackendKind::Simd.matmul(&a, &b).unwrap();
         pool::set_threads(0);
         prop_assert_eq!(bits(&first), bits(&second));
     }
@@ -180,13 +164,13 @@ fn parallel_paths_hold_their_contracts_past_the_threshold() {
     let mut simd_runs: Vec<Vec<u64>> = Vec::new();
     for threads in [1, 2, 3, 8] {
         pool::set_threads(threads);
-        let pooled = backend::of(BackendKind::Pooled).matmul(&a, &b).unwrap();
+        let pooled = BackendKind::Pooled.matmul(&a, &b).unwrap();
         assert_eq!(
             bits(&pooled),
             bits(&reference),
             "pooled at {threads} threads"
         );
-        let simd = backend::of(BackendKind::Simd).matmul(&a, &b).unwrap();
+        let simd = BackendKind::Simd.matmul(&a, &b).unwrap();
         assert_within_simd_tol(&reference, &simd, &scale, "simd past threshold");
         simd_runs.push(bits(&simd));
     }
@@ -206,9 +190,7 @@ fn dimension_mismatch_is_typed_and_identical_across_backends() {
     let b = Matrix::zeros(3, 4); // conformable for tn, not for matmul/nt… see below
     let c = Matrix::zeros(5, 6); // conformable with nothing here
     let x = vec![0.0; 7]; // wrong length for gemv against `a`
-    for kind in BackendKind::ALL {
-        let be = backend::of(kind);
-
+    for be in BackendKind::ALL {
         let err = be.matmul(&a, &b).unwrap_err();
         assert!(
             matches!(
@@ -218,7 +200,7 @@ fn dimension_mismatch_is_typed_and_identical_across_backends() {
                     right: (3, 4),
                 }
             ),
-            "{kind} matmul: {err:?}"
+            "{be} matmul: {err:?}"
         );
 
         let err = be.matmul_tn(&a, &c).unwrap_err();
@@ -230,7 +212,7 @@ fn dimension_mismatch_is_typed_and_identical_across_backends() {
                     right: (5, 6),
                 }
             ),
-            "{kind} matmul_tn: {err:?}"
+            "{be} matmul_tn: {err:?}"
         );
 
         let err = be.matmul_nt(&a, &c).unwrap_err();
@@ -242,7 +224,7 @@ fn dimension_mismatch_is_typed_and_identical_across_backends() {
                     right: (5, 6),
                 }
             ),
-            "{kind} matmul_nt: {err:?}"
+            "{be} matmul_nt: {err:?}"
         );
 
         let err = be.gemv(&a, &x).unwrap_err();
@@ -254,7 +236,7 @@ fn dimension_mismatch_is_typed_and_identical_across_backends() {
                     right: (7, 1),
                 }
             ),
-            "{kind} gemv: {err:?}"
+            "{be} gemv: {err:?}"
         );
 
         // The happy paths next to the failures, so a backend cannot
@@ -267,7 +249,7 @@ fn dimension_mismatch_is_typed_and_identical_across_backends() {
 /// Backend *selection*: override beats env beats default. Runs the
 /// whole sequence in one test because the override and `MALEVA_BACKEND`
 /// are process-global; nothing else in this binary consults them
-/// (every other test uses `backend::of` directly).
+/// (every other test calls a `BackendKind`'s methods directly).
 #[test]
 fn selection_resolves_override_then_env_then_default() {
     // Whatever the ambient env says (the CI simd leg exports
@@ -275,20 +257,37 @@ fn selection_resolves_override_then_env_then_default() {
     for kind in BackendKind::ALL {
         backend::set_backend(Some(kind));
         assert_eq!(backend::effective_kind(), kind);
-        assert_eq!(backend::active().kind(), kind);
     }
     backend::set_backend(None);
 
-    // With no override, the env decides (invalid values are ignored)…
-    std::env::set_var("MALEVA_BACKEND", "scalar");
-    assert_eq!(backend::effective_kind(), BackendKind::Scalar);
-    std::env::set_var("MALEVA_BACKEND", "SIMD");
-    assert_eq!(backend::effective_kind(), BackendKind::Simd);
-    std::env::set_var("MALEVA_BACKEND", "not-a-backend");
-    assert_eq!(backend::effective_kind(), BackendKind::Pooled);
-
+    // With no override, the env decides (invalid values, the retired
+    // `scalar` among them, are ignored)…
+    assert_eq!(kind_from_env(Some("pooled")), BackendKind::Pooled);
+    assert_eq!(kind_from_env(Some("SIMD")), BackendKind::Simd);
+    assert_eq!(kind_from_env(Some(" simd ")), BackendKind::Simd);
+    assert_eq!(kind_from_env(Some("scalar")), BackendKind::Pooled);
+    assert_eq!(kind_from_env(Some("not-a-backend")), BackendKind::Pooled);
     // …and with neither, the default is the seed behavior: Pooled.
-    std::env::remove_var("MALEVA_BACKEND");
-    assert_eq!(backend::effective_kind(), BackendKind::Pooled);
-    assert_eq!(backend::active().kind(), BackendKind::Pooled);
+    assert_eq!(kind_from_env(None), BackendKind::Pooled);
+
+    // The env is read once per process: once a product has run,
+    // changing `MALEVA_BACKEND` changes nothing.
+    let a = Matrix::identity(2);
+    a.matmul(&a).unwrap();
+    let resolved = backend::effective_kind();
+    assert_eq!(
+        resolved,
+        kind_from_env(std::env::var("MALEVA_BACKEND").ok().as_deref())
+    );
+    let other = match resolved {
+        BackendKind::Pooled => BackendKind::Simd,
+        BackendKind::Simd => BackendKind::Pooled,
+    };
+    let ambient = std::env::var("MALEVA_BACKEND").ok();
+    std::env::set_var("MALEVA_BACKEND", other.name());
+    assert_eq!(backend::effective_kind(), resolved);
+    match ambient {
+        Some(value) => std::env::set_var("MALEVA_BACKEND", value),
+        None => std::env::remove_var("MALEVA_BACKEND"),
+    }
 }

@@ -8,24 +8,6 @@ use crate::checkpoint::{TrainCheckpoint, CHECKPOINT_VERSION};
 use crate::optim::{Adam, OptimizerState, Sgd};
 use crate::{init, loss, Gradients, Network, NnError};
 
-/// Process-wide training counters in the shared `maleva-obs` registry.
-fn train_counters() -> &'static (
-    std::sync::Arc<maleva_obs::Counter>,
-    std::sync::Arc<maleva_obs::Counter>,
-) {
-    static COUNTERS: std::sync::OnceLock<(
-        std::sync::Arc<maleva_obs::Counter>,
-        std::sync::Arc<maleva_obs::Counter>,
-    )> = std::sync::OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let registry = maleva_obs::metrics::global();
-        (
-            registry.counter("train_epochs_total", "Training epochs completed."),
-            registry.counter("train_batches_total", "Minibatch updates applied."),
-        )
-    })
-}
-
 /// What the trainer does when an epoch numerically diverges (non-finite
 /// loss, gradient or weight — see [`NnError::NumericDivergence`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -652,9 +634,6 @@ impl Trainer {
             val_accuracy,
         };
         if trace::enabled() {
-            let (epochs_total, batches_total) = train_counters();
-            epochs_total.inc();
-            batches_total.add(batches as u64);
             let grad_norm_mean = (grad_sq_sum / batches.max(1) as f64).sqrt();
             trace::event(
                 "train.epoch_stats",

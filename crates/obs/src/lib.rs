@@ -1,11 +1,11 @@
 //! Observability layer for the maleva workspace: structured tracing,
-//! a shared metrics registry, and run-provenance manifests.
+//! metrics registries, and run-provenance manifests.
 //!
 //! The crate is deliberately **zero-dependency** (std only) so every
 //! other crate — including the innermost hot loops in `maleva-nn` and
 //! `maleva-attack` — can depend on it without widening the build.
 //!
-//! Three modules:
+//! Five modules:
 //!
 //! * [`trace`] — a span-based tracer. `Span::enter("jsma.craft")`
 //!   returns an RAII guard; enters, exits, and point events are written
@@ -17,8 +17,8 @@
 //! * [`metrics`] — counters, gauges, and power-of-two latency
 //!   histograms behind a [`metrics::Registry`], with a Prometheus
 //!   text-exposition renderer. `maleva-serve` builds its per-server
-//!   stats on these primitives; the trainer and attack batches count
-//!   into a process-wide [`metrics::global`] registry.
+//!   stats on these primitives; there is no process-wide registry
+//!   (training and attack batches report through their spans).
 //! * [`manifest`] — run-provenance manifests (seed, scale, config
 //!   hash, crate versions, per-phase wall-clock) written as
 //!   `manifest.json` next to `repro`/`train` outputs.

@@ -15,7 +15,7 @@
 
 use std::fmt::Write;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Number of power-of-two histogram buckets.
@@ -522,15 +522,6 @@ fn sanitize_name(name: &str) -> String {
             }
         })
         .collect()
-}
-
-/// The process-wide registry used by trainer and attack
-/// instrumentation. Per-server metrics in `maleva-serve` use their own
-/// [`Registry`] instance so concurrent servers in one process do not
-/// collide.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]

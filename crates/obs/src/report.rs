@@ -88,9 +88,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Parser`] accepts, the vendored
+/// `serde_json`'s limit. The parser recurses once per level, so a
+/// deeper line is refused (one parse error) instead of overflowing the
+/// stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -98,6 +106,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -123,8 +132,22 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => {
+                self.depth += 1;
+                let object = self.object();
+                self.depth -= 1;
+                object
+            }
+            Some(b'[') => {
+                self.depth += 1;
+                let array = self.array();
+                self.depth -= 1;
+                array
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -614,6 +637,30 @@ mod tests {
         assert_eq!(fields.get("n"), Some(&Json::Null));
         assert!(parse_line("{oops").is_err());
         assert!(parse_line("{}trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_refused_past_the_depth_limit() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(parse_line(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse_line(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        assert!(parse_line(&nested("[", "]", MAX_DEPTH + 1)).is_err());
+        assert!(parse_line(&nested("{\"a\":", "}", MAX_DEPTH + 1)).is_err());
+
+        // Lines far past any stack a recursive reader could survive
+        // each count as one parse error.
+        let deep_arrays = "[".repeat(200_000);
+        let deep_objects = "{\"a\":".repeat(200_000);
+        let lines = [
+            deep_arrays.as_str(),
+            deep_objects.as_str(),
+            "{\"ev\":\"enter\",\"span\":1,\"name\":\"a\",\"thread\":1,\"t_ns\":0}",
+        ];
+        let report = analyze_lines(lines.into_iter(), 1);
+        assert_eq!(report.total_records, 3);
+        assert_eq!(report.parse_errors, 2);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! re-scored alone, each under its own `catch_unwind`, so a poisoned
 //! row fails by itself with a typed `internal` error while its
 //! batchmates still get their bit-exact scores — one bad request can
-//! never kill the scorer loop or starve the batch.
+//! never kill the scorer loop or starve the batch. A row the model
+//! scores NaN or infinite fails the same way: it gets no verdict and is
+//! never cached.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
@@ -127,7 +129,8 @@ pub struct BatchOutcome {
     /// Whether the batched forward panicked or errored and the batch
     /// fell back to per-row scoring.
     pub batch_failed: bool,
-    /// Rows that failed even in isolation (the `Err` entries).
+    /// Rows that failed (the `Err` entries): in isolation, or with a
+    /// score that is not finite.
     pub row_failures: u64,
 }
 
@@ -142,10 +145,22 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// A row's score, or the failure message for a score that is NaN or
+/// infinite: a model whose weights overflow in the forward pass scores
+/// NaN, and no verdict can be read from that.
+fn finite_score(score: f64) -> Result<f64, String> {
+    if score.is_finite() {
+        Ok(score)
+    } else {
+        Err(format!("the model scored this row {score}"))
+    }
+}
+
 /// Scores `rows` with panic isolation: one batched forward pass under
 /// `catch_unwind`; if it panics or errors, each row is re-scored alone
 /// under its own `catch_unwind`, so a poisoned row fails by itself
-/// while the rest of the batch still gets bit-exact scores.
+/// while the rest of the batch still gets bit-exact scores. A row
+/// whose score is not finite fails by itself too, on either path.
 ///
 /// `faults` drives the injectable failure points
 /// ([`FaultSite::BatchPanic`] fires inside the batched pass,
@@ -162,41 +177,34 @@ pub fn score_rows_isolated(
         }
         score_rows(network, rows)
     }));
-    if let Ok(Ok(scores)) = batched {
-        return BatchOutcome {
-            scores: scores.into_iter().map(Ok).collect(),
-            batch_failed: false,
-            row_failures: 0,
-        };
-    }
-    // The batch panicked or errored: isolate the poison by scoring
-    // every row alone, each under its own catch_unwind.
-    let mut row_failures = 0u64;
-    let scores = rows
-        .iter()
-        .map(|row| {
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                if faults.should_fire(FaultSite::RowPanic) {
-                    panic!("injected fault: scorer row panic");
-                }
-                score_rows(network, std::slice::from_ref(row)).map(|scores| scores[0])
-            }));
-            match attempt {
-                Ok(Ok(score)) => Ok(score),
-                Ok(Err(e)) => {
-                    row_failures += 1;
-                    Err(e.to_string())
-                }
-                Err(payload) => {
-                    row_failures += 1;
-                    Err(panic_message(payload))
-                }
-            }
-        })
-        .collect();
+    let (scores, batch_failed): (Vec<Result<f64, String>>, bool) = match batched {
+        Ok(Ok(scores)) => (scores.into_iter().map(finite_score).collect(), false),
+        // The batch panicked or errored: isolate the poison by scoring
+        // every row alone, each under its own catch_unwind.
+        _ => {
+            let scores = rows
+                .iter()
+                .map(|row| {
+                    let attempt = catch_unwind(AssertUnwindSafe(|| {
+                        if faults.should_fire(FaultSite::RowPanic) {
+                            panic!("injected fault: scorer row panic");
+                        }
+                        score_rows(network, std::slice::from_ref(row)).map(|scores| scores[0])
+                    }));
+                    match attempt {
+                        Ok(Ok(score)) => finite_score(score),
+                        Ok(Err(e)) => Err(e.to_string()),
+                        Err(payload) => Err(panic_message(payload)),
+                    }
+                })
+                .collect();
+            (scores, true)
+        }
+    };
+    let row_failures = scores.iter().filter(|s| s.is_err()).count() as u64;
     BatchOutcome {
         scores,
-        batch_failed: true,
+        batch_failed,
         row_failures,
     }
 }
@@ -359,6 +367,63 @@ mod tests {
             }
         }
         assert_eq!(failed, 1);
+    }
+
+    /// `net()` with every weight scaled by 1e200: each weight stays
+    /// finite, but a row that reaches the output through a live ReLU
+    /// overflows to an infinite logit and a NaN score, while an all-zero
+    /// row only meets the (finite) biases.
+    fn overflowing_net() -> Network {
+        let mut net = net();
+        for layer in net.layers_mut() {
+            for w in layer.weights_mut().as_mut_slice() {
+                *w *= 1e200;
+            }
+        }
+        net
+    }
+
+    #[test]
+    fn a_non_finite_score_fails_its_row_alone() {
+        let net = overflowing_net();
+        let mut rows = rows(6);
+        rows[1] = vec![0.0; 4];
+        rows[4] = vec![0.0; 4];
+        let reference = score_rows_sequential(&net, &rows).unwrap();
+        let finite = reference.iter().filter(|s| s.is_finite()).count();
+        assert!(finite >= 2 && finite < rows.len(), "{reference:?}");
+
+        let outcome = score_rows_isolated(&net, &rows, &FaultInjector::new(FaultPlan::disabled()));
+        assert!(!outcome.batch_failed);
+        assert_eq!(outcome.row_failures, (rows.len() - finite) as u64);
+        for (got, want) in outcome.scores.iter().zip(&reference) {
+            match got {
+                Ok(score) => assert_eq!(score.to_bits(), want.to_bits()),
+                Err(msg) => {
+                    assert!(!want.is_finite());
+                    assert!(msg.contains("NaN") || msg.contains("inf"), "{msg}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_score_fails_its_row_on_the_fallback_path_too() {
+        quiet_injected_panics();
+        let net = overflowing_net();
+        let mut rows = rows(3);
+        rows[0] = vec![0.0; 4];
+        let reference = score_rows_sequential(&net, &rows).unwrap();
+        let plan = FaultPlan::disabled().with(FaultSite::BatchPanic, FaultAction::EveryNth(1));
+        let outcome = score_rows_isolated(&net, &rows, &FaultInjector::new(plan));
+        assert!(outcome.batch_failed);
+        let failures = reference.iter().filter(|s| !s.is_finite()).count() as u64;
+        assert!(failures > 0, "{reference:?}");
+        assert_eq!(outcome.row_failures, failures);
+        assert_eq!(
+            outcome.scores[0].as_ref().unwrap().to_bits(),
+            reference[0].to_bits()
+        );
     }
 
     #[test]

@@ -225,6 +225,75 @@ fn poisoned_rows_fail_alone_with_typed_internal_errors() {
     assert_eq!(stats.errors, stats.row_failures);
 }
 
+/// A detector whose weights are all finite but overflow in the forward
+/// pass scores NaN. The server fails such a row closed — a typed
+/// `internal` error, never a `clean` verdict — and never caches it, so
+/// the repeat is scored (and refused) again; the sentinel records no
+/// verdict for it.
+#[test]
+fn a_non_finite_score_is_an_internal_error_and_never_cached() {
+    let mut network = ctx().detector.network().clone();
+    let depth = network.layers().len();
+    for layer in &mut network.layers_mut()[depth - 2..] {
+        for w in layer.weights_mut().as_mut_slice() {
+            *w *= 1e200;
+        }
+    }
+    let detector = ctx()
+        .detector
+        .clone()
+        .with_network(network)
+        .expect("same widths");
+    let sample = ctx()
+        .dataset
+        .test()
+        .iter()
+        .map(|program| program.counts().to_vec())
+        .find(|counts| {
+            let features = detector.features().transform_counts(counts);
+            let score = maleva_serve::score_rows(detector.network(), &[features]).unwrap()[0];
+            !score.is_finite()
+        })
+        .expect("a test sample that overflows the scaled detector");
+    let handle = spawn(
+        detector,
+        ServeConfig {
+            sentinel: maleva_serve::SentinelConfig {
+                enabled: true,
+                ..Default::default()
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .expect("spawn server");
+
+    let line = format!(
+        "{{\"features\":[{}],\"client_id\":\"overflow\"}}",
+        sample
+            .iter()
+            .map(u32::to_string)
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let responses = raw_roundtrips(handle.addr(), &[line.clone(), line]);
+    for resp in &responses {
+        assert!(
+            resp.starts_with("{\"error\":") && resp.contains("\"kind\":\"internal\""),
+            "a NaN score must not reach the wire as a verdict: {resp}"
+        );
+    }
+    assert!(
+        handle.sentinel().client("overflow").is_none(),
+        "the sentinel got a verdict for a failed row"
+    );
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.cache_hits, 0, "a failed score was cached");
+    assert_eq!(stats.row_failures, 2);
+    assert_eq!(stats.errors, 2);
+    assert_eq!(stats.rows_scored, 0);
+}
+
 /// With the scorer artificially slowed and a shed threshold of one
 /// queued job, concurrent clients must see `overloaded` rejections
 /// carrying a positive `retry_after_ms` hint.
